@@ -19,6 +19,7 @@ from .bell import (
     BellOptimum,
     MarginalMeans,
     MeasurementScenario,
+    OptimizerConfig,
     bell_operator_matrix,
     bilinear_value,
     c3322_value,
@@ -36,7 +37,6 @@ from .bell import (
     scenario_from_directions,
 )
 from .witness import (
-    OptimizerConfig,
     WitnessReport,
     asym_sup,
     asym_value_fixed,

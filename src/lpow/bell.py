@@ -15,6 +15,7 @@ MEANS_CROSS_CHECK_TOL = 1e-12
 IDENTITY_TOL = 1e-10
 ORTHOGONALITY_TOL = 1e-10
 ENUMERATION_LIMIT = 24
+_Z = np.array([0.0, 0.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -291,6 +292,29 @@ def normalized_value(kind: str, raw: float) -> float:
 
 
 @dataclass(frozen=True)
+class OptimizerConfig:
+    """Multi-start optimizer parameters.
+
+    ``step_tolerance`` stops only the compass search of the orthogonal mode;
+    the see-saw optimizers stop on ``value_tolerance``.
+    """
+
+    restarts: int = 64
+    max_iterations: int = 20000
+    step_tolerance: float = 1e-9
+    value_tolerance: float = 1e-10
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise ValueError("restarts must be >= 1")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
+        if self.step_tolerance <= 0 or self.value_tolerance <= 0:
+            raise ValueError("tolerances must be positive")
+
+
+@dataclass(frozen=True)
 class BellOptimum:
     """Result of settings optimization of a Bell functional value."""
 
@@ -306,6 +330,33 @@ def _normalize_rows(v: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     return out
 
 
+def _seesaw(update_a, update_b, value, n: int, cfg: OptimizerConfig):
+    """Multi-start alternating block ascent over measurement directions.
+
+    ``update_a`` maps a batch of b-directions (restarts, n, 3) to the best
+    a-directions for them, ``update_b`` maps a-directions back to the best
+    b-directions, and ``value`` scores a batch of direction pairs. Every
+    restart starts from Gaussian-drawn b-directions and all advance in
+    lockstep until no restart gains more than ``cfg.value_tolerance`` in
+    one round. Returns the best restart's a- and b-directions and value, the
+    iteration count, and whether that stopping rule fired.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    b_dirs = _normalize_rows(rng.normal(size=(cfg.restarts, n, 3)), _Z)
+    values = np.full(cfg.restarts, -np.inf)
+    converged = False
+    for iterations in range(1, cfg.max_iterations + 1):
+        a_dirs = update_a(b_dirs)
+        b_dirs = update_b(a_dirs)
+        new_values = value(a_dirs, b_dirs)
+        converged = bool(np.all(new_values - values <= cfg.value_tolerance))
+        values = np.maximum(values, new_values)
+        if converged:
+            break
+    best = int(np.argmax(values))
+    return a_dirs[best], b_dirs[best], float(values[best]), iterations, converged
+
+
 def optimize_functional_value(
     rho: DensityMatrix,
     f: BellFunctional,
@@ -316,21 +367,24 @@ def optimize_functional_value(
 ) -> BellOptimum:
     """Maximize Tr(rho B) over measurement directions.
 
-    Alternating exact ascent: with one party's directions fixed, the value is
-    linear in each of the other party's directions, so each update is a
-    closed-form normalization. All restarts advance in lockstep as batched
-    array operations.
+    See-saw ascent: with one party's directions fixed, the value is linear
+    in each of the other party's directions, so each block update is the
+    normalized gradient. All restarts advance in lockstep as batched array
+    operations; ``converged`` is true only when every restart's last gain
+    is within ``value_tolerance``.
     """
-    m, n = f.shape
-    rng = np.random.default_rng(seed)
+    n = f.shape[1]
     r_a = bloch_vector(rho.marginal(0))
     r_b = bloch_vector(rho.marginal(1))
     t = correlation_matrix(rho)
-    z = np.array([0.0, 0.0, 1.0])
 
-    b_dirs = rng.normal(size=(restarts, n, 3))
-    b_dirs = _normalize_rows(b_dirs, z)
-    a_dirs = np.zeros((restarts, m, 3))
+    def update_a(b_dirs):
+        grad = np.einsum("mn,rny->rmy", f.alpha, b_dirs @ t.T) + f.beta[:, None] * r_a[None, None, :]
+        return _normalize_rows(grad, _Z)
+
+    def update_b(a_dirs):
+        grad = np.einsum("mn,rmy->rny", f.alpha.T, a_dirs @ t) + f.gamma[:, None] * r_b[None, None, :]
+        return _normalize_rows(grad, _Z)
 
     def batch_value(a_d, b_d):
         a = a_d @ r_a
@@ -338,27 +392,13 @@ def optimize_functional_value(
         c = np.einsum("rmx,xy,rny->rmn", a_d, t, b_d)
         return np.einsum("mn,rmn->r", f.alpha, c) + a @ f.beta + b @ f.gamma
 
-    values = np.full(restarts, -np.inf)
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iterations + 1):
-        # Best a-directions given b: gradient of the value in each a_x.
-        grad_a = np.einsum("mn,rny->rmy", f.alpha, b_dirs @ t.T) + f.beta[:, None] * r_a[None, None, :]
-        a_dirs = _normalize_rows(grad_a, z)
-        grad_b = np.einsum("mn,rmy->rny", f.alpha.T, a_dirs @ t) + f.gamma[:, None] * r_b[None, None, :]
-        b_dirs = _normalize_rows(grad_b, z)
-        new_values = batch_value(a_dirs, b_dirs)
-        if np.all(new_values - values <= value_tolerance):
-            values = np.maximum(values, new_values)
-            converged = True
-            break
-        values = np.maximum(values, new_values)
-
-    best = int(np.argmax(values))
-    scenario = scenario_from_directions(a_dirs[best], b_dirs[best])
+    cfg = OptimizerConfig(
+        restarts=restarts, max_iterations=max_iterations, value_tolerance=value_tolerance, seed=seed
+    )
+    a_best, b_best, value, iterations, converged = _seesaw(update_a, update_b, batch_value, n, cfg)
     return BellOptimum(
-        value=float(values[best]),
-        scenario=scenario,
+        value=value,
+        scenario=scenario_from_directions(a_best, b_best),
         iterations=iterations,
         converged=converged,
     )

@@ -11,7 +11,7 @@ from .quantities import compute_quantities
 from .states import make_state
 from .sweeps import SweepSpec, format_float, read_csv, sweep_to_csv
 from .svgplot import render_line_chart
-from .witness import OptimizerConfig
+from .bell import OptimizerConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 2

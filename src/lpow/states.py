@@ -214,6 +214,9 @@ def make_state(family: str, **params) -> DensityMatrix:
     bound. ``pure_product`` accepts explicit ``kets`` or per-party Bloch
     angles ``theta_a``/``phi_a``, ``theta_b``/``phi_b``, ...
     """
+    for key, value in params.items():
+        if key != "kets" and not math.isfinite(float(value)):
+            raise ValueError(f"state parameter {key!r} must be finite, got {value!r}")
     if family == "pure_product":
         return _pure_product_from_params(params)
     if family not in _FAMILIES:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -12,7 +11,7 @@ import numpy as np
 
 from .quantities import QUANTITY_NAMES, compute_quantities
 from .states import make_state
-from .witness import OptimizerConfig
+from .bell import OptimizerConfig
 
 
 @dataclass(frozen=True)
@@ -30,6 +29,8 @@ class SweepSpec:
     def __post_init__(self):
         object.__setattr__(self, "quantities", tuple(self.quantities))
         start, stop, count = self.grid
+        if not (math.isfinite(float(start)) and math.isfinite(float(stop))):
+            raise ValueError(f"grid endpoints must be finite, got {start!r} and {stop!r}")
         if int(count) < 2:
             raise ValueError("grid count must be >= 2")
         if not start < stop:
@@ -63,8 +64,8 @@ def point_seed(global_seed: int, index: int) -> int:
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate all quantities on the grid.
 
-    Points are independent and run concurrently; each carries its own seed,
-    and rows are assembled in index order. A failed or non-converged cell
+    Points run one after another in index order, each with its own seed
+    derived from the point index. A failed or non-converged cell
     becomes NaN with a warning instead of aborting the sweep.
     """
     values = spec.grid_values()
@@ -97,8 +98,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                 row.append(result.value)
         return row, notes
 
-    with ThreadPoolExecutor() as pool:
-        rows = list(pool.map(evaluate, range(len(values))))
+    rows = [evaluate(index) for index in range(len(values))]
     table = {
         name: np.array([rows[i][0][j] for i in range(len(values))])
         for j, name in enumerate(spec.quantities)

@@ -14,6 +14,9 @@ from .states import DensityMatrix, QubitObservable, bloch_vector, correlation_ma
 from .bell import (
     BellFunctional,
     MeasurementScenario,
+    OptimizerConfig,
+    _Z,
+    _seesaw,
     bell_operator_matrix,
     bilinear_value,
     lhv_bound,
@@ -24,26 +27,6 @@ from .bell import (
 BOUND_SLACK = 1e-8
 DUAL_PATH_TOL = 1e-10
 DEGENERATE_NORM = 1e-12
-_Z = np.array([0.0, 0.0, 1.0])
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Multi-start derivative-free search parameters."""
-
-    restarts: int = 64
-    max_iterations: int = 20000
-    step_tolerance: float = 1e-9
-    value_tolerance: float = 1e-10
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.step_tolerance <= 0 or self.value_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
 
 
 @dataclass(frozen=True)
@@ -205,12 +188,15 @@ def bound_orthogonal(rho: DensityMatrix, f: BellFunctional) -> float:
     return float(spectral * na * nb + beta_max * na**2 + gamma_max * nb**2)
 
 
-def _spherical_directions(angles: np.ndarray) -> np.ndarray:
-    # angles (..., k, 2): polar then azimuthal
-    theta = angles[..., 0]
-    phi = angles[..., 1]
-    sin_t = np.sin(theta)
-    return np.stack([sin_t * np.cos(phi), sin_t * np.sin(phi), np.cos(theta)], axis=-1)
+def _top_eigenvectors(r: np.ndarray, w: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Unit u maximizing (u.r)(u.w) + q (u.r)^2, batched over w (..., k, 3) and q (k,).
+
+    The form is u^T M u with M = sym(r w^T) + q r r^T, so the maximizer is
+    M's top eigenvector; its sign is immaterial because the form is even in u.
+    """
+    rw = r[:, None] * w[..., None, :]
+    mats = 0.5 * (rw + rw.swapaxes(-1, -2)) + q[:, None, None] * np.outer(r, r)
+    return np.linalg.eigh(mats)[1][..., -1]
 
 
 def _rotation_matrices(angles: np.ndarray) -> np.ndarray:
@@ -286,12 +272,14 @@ def sym_sup(
 ) -> WitnessReport:
     """Supremum of the two-sided witness over settings.
 
-    ``free`` parameterizes every direction by two spherical angles;
-    ``orthogonal`` parameterizes each party by one rotation of the canonical
-    axis frame, so the constraint holds by construction. When the
-    geometry-free cap already pins the witness to zero (e.g. a maximally
-    mixed marginal with no positive quadratic coefficient), the optimization
-    is skipped.
+    ``free`` runs the see-saw eigen-ascent: with one party's directions
+    fixed, the witness is a sum of per-setting quadratic forms in the other
+    party's directions, so each block update is a top eigenvector of a 3x3
+    matrix. ``orthogonal`` keeps the compass search over one rotation of the
+    canonical axis frame per party, so the constraint holds by construction.
+    When the applicable cap already pins the witness to zero (e.g. a
+    maximally mixed marginal with no positive quadratic coefficient), the
+    optimization is skipped. ``converged`` describes the reported restart.
     """
     if constraint not in ("free", "orthogonal"):
         raise ValueError(f"unknown constraint {constraint!r}")
@@ -327,16 +315,18 @@ def sym_sup(
         )
 
     if constraint == "free":
-        n_params = 2 * (m + n)
 
-        def unpack(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            r = params.shape[0]
-            a_angles = params[:, : 2 * m].reshape(r, m, 2)
-            b_angles = params[:, 2 * m :].reshape(r, n, 2)
-            return _spherical_directions(a_angles), _spherical_directions(b_angles)
+        def update_a(b_dirs: np.ndarray) -> np.ndarray:
+            # w_x = sum_y alpha_xy (b_y . r_B) T b_y
+            w = (f.alpha * (b_dirs @ r_b)[:, None, :]) @ (b_dirs @ t.T)
+            return _top_eigenvectors(r_a, w, f.beta)
 
+        def update_b(a_dirs: np.ndarray) -> np.ndarray:
+            w = (f.alpha.T * (a_dirs @ r_a)[:, None, :]) @ (a_dirs @ t)
+            return _top_eigenvectors(r_b, w, f.gamma)
+
+        a_best, b_best, value, _, converged = _seesaw(update_a, update_b, value_from_dirs, n, cfg)
     else:
-        n_params = 6
 
         def unpack(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             rot_a = _rotation_matrices(params[:, :3])
@@ -344,22 +334,21 @@ def sym_sup(
             # Direction i is the image of the i-th canonical axis.
             return rot_a.swapaxes(-1, -2)[:, :m, :], rot_b.swapaxes(-1, -2)[:, :n, :]
 
-    def objective(params: np.ndarray) -> np.ndarray:
-        a_dirs, b_dirs = unpack(params)
-        return value_from_dirs(a_dirs, b_dirs)
+        params, values, steps = _compass_maximize(lambda p: value_from_dirs(*unpack(p)), 6, cfg)
+        best = int(np.argmax(values))
+        a_dirs, b_dirs = unpack(params[best : best + 1])
+        a_best, b_best = a_dirs[0], b_dirs[0]
+        value = float(values[best])
+        converged = bool(steps[best] < cfg.step_tolerance)
 
-    params, values, steps = _compass_maximize(objective, n_params, cfg)
-    best = int(np.argmax(values))
-    a_dirs, b_dirs = unpack(params[best : best + 1])
-    scenario = scenario_from_directions(
-        a_dirs[0], b_dirs[0], orthogonal=(constraint == "orthogonal")
-    )
     return WitnessReport(
-        value=float(values[best]),
-        optimizing_scenario=scenario,
+        value=value,
+        optimizing_scenario=scenario_from_directions(
+            a_best, b_best, orthogonal=(constraint == "orthogonal")
+        ),
         bounds=tuple(bounds),
         restarts_used=cfg.restarts,
-        converged=bool((steps < cfg.step_tolerance).any()),
+        converged=converged,
     )
 
 

@@ -270,6 +270,11 @@ class TestOptimizeFunctionalValue:
             a.scenario.alice_directions, b.scenario.alice_directions
         )
 
+    def test_iteration_cap_is_not_convergence(self):
+        opt = optimize_functional_value(sigma_state(), preset_functional("chsh"), max_iterations=1)
+        assert opt.iterations == 1
+        assert not opt.converged
+
     def test_reported_scenario_achieves_value(self, rng):
         rho = ginibre_state(rng)
         f = preset_functional("chsh")

@@ -75,6 +75,13 @@ class TestReport:
         proc = run_cli("report", "--state", "werner:p=x", "--quantities", "s_chsh")
         assert proc.returncode == 2
 
+    def test_non_finite_state_parameter_is_named(self):
+        proc = run_cli(
+            "report", "--state", "classical:theta=nan,beta=0", "--quantities", "s_chsh"
+        )
+        assert proc.returncode != 0
+        assert "theta" in proc.stderr
+
 
 class TestSweep:
     def test_inline_sweep_writes_csv(self, tmp_path):

@@ -161,6 +161,16 @@ class TestMakeState:
         with pytest.raises(ValueError, match="unknown parameter"):
             make_state("werner", p=0.5, q=1.0)
 
+    def test_non_finite_parameters_are_named(self):
+        with pytest.raises(ValueError, match="'theta' must be finite"):
+            make_state("classical", theta=math.nan, beta=0.0)
+        with pytest.raises(ValueError, match="'beta' must be finite"):
+            make_state("classical", theta=0.3, beta=math.inf)
+        with pytest.raises(ValueError, match="'theta' must be finite"):
+            make_state("cg", theta=-math.inf)
+        with pytest.raises(ValueError, match="'phi_b' must be finite"):
+            make_state("pure_product", theta_a=0.0, theta_b=0.0, phi_b=math.nan)
+
     def test_cg_solves_lambda_when_omitted(self):
         theta = 0.3
         rho = make_state("cg", theta=theta)

@@ -36,6 +36,10 @@ class TestSweepSpec:
             small_spec(grid=(0.0, 1.0, 1))
         with pytest.raises(ValueError, match="start"):
             small_spec(grid=(1.0, 0.0, 5))
+        with pytest.raises(ValueError, match="finite"):
+            small_spec(grid=(math.nan, 1.0, 5))
+        with pytest.raises(ValueError, match="finite"):
+            small_spec(grid=(0.0, math.inf, 5))
 
     def test_quantities_validation(self):
         with pytest.raises(ValueError, match="nonempty"):

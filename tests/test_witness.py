@@ -225,9 +225,52 @@ class TestSymWitnessSup:
     def test_conjectured_chsh_cap_on_random_corpus(self, rng):
         # Free-setting optimized symmetric CHSH witness never found above 2.
         f = preset_functional("chsh")
-        cfg = OptimizerConfig(restarts=8, seed=5)
-        values = [sym_sup(ginibre_state(rng), f, "free", cfg).value for _ in range(20)]
+        cfg = OptimizerConfig(restarts=64, seed=5)
+        values = [sym_sup(ginibre_state(rng), f, "free", cfg).value for _ in range(200)]
         assert max(values) <= 2.0 + 1e-6
+
+    # Free-mode CHSH values of the multi-start compass search over spherical
+    # angles that the see-saw replaced, at restarts=64, seed=4.
+    COMPASS_CHSH = (
+        (("transition", {"p": 0.05}), 0.002249999992064544),
+        (("transition", {"p": 0.2}), 0.023999998884693976),
+        (("transition", {"p": 0.25}), 0.03153713421372446),
+        (("transition", {"p": 0.6}), 0.18029310328407874),
+        (("transition", {"p": 0.95}), 1.6251099020084356),
+        (("sigma", {}), 0.3593144448473604),
+    )
+
+    @pytest.mark.parametrize("state, compass", COMPASS_CHSH)
+    def test_never_below_compass_values(self, state, compass):
+        family, params = state
+        cfg = OptimizerConfig(restarts=64, seed=4)
+        report = sym_sup(make_state(family, **params), preset_functional("chsh"), "free", cfg)
+        assert report.converged
+        assert report.value >= compass - 1e-12
+
+    def test_reported_scenario_achieves_value(self, rng):
+        cfg = OptimizerConfig(restarts=16, seed=3)
+        for name in ("chsh", "c3322"):
+            f = preset_functional(name)
+            for _ in range(5):
+                rho = ginibre_state(rng)
+                report = sym_sup(rho, f, "free", cfg)
+                assert abs(sym_value_fixed(rho, f, report.optimizing_scenario) - report.value) < 1e-10
+
+    def test_c3322_stays_under_geometry_free_cap(self, rng):
+        f = preset_functional("c3322")
+        for _ in range(20):
+            rho = ginibre_state(rng)
+            report = sym_sup(rho, f, "free")
+            assert report.converged
+            assert report.value <= bound_geometry_free(rho, f) + 1e-9
+
+    def test_converged_describes_reported_optimum(self):
+        f = preset_functional("chsh")
+        one_step = OptimizerConfig(restarts=8, seed=0, max_iterations=1)
+        assert not sym_sup(sigma_state(), f, "free", one_step).converged
+        assert not sym_sup(sigma_state(), f, "orthogonal", one_step).converged
+        assert sym_sup(werner(0.5), f, "free", one_step).converged
 
     def test_same_seed_reproduces_bitwise(self):
         cfg = OptimizerConfig(restarts=8, seed=9)
