@@ -6,12 +6,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import bisect
 
 from .linalg import HERMITICITY_TOL, PSD_EIG_FLOOR, PAULIS, dagger, kron, partial_trace, singular_values
 
 TRACE_TOL = 1e-12
 BISECTION_TOL = 1e-10
+_BISECTION_RTOL = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -269,30 +269,47 @@ def optimized_chsh(rho: DensityMatrix) -> float:
     return 2.0 * horodecki(rho).m_value
 
 
-def _cg_m_minus_one(theta: float):
-    def f(lam: float) -> float:
-        return horodecki(cg(theta, lam)).m_value ** 2 - 1.0
+def _cg_chsh_gap(theta: float, lam):
+    """s1^2 + s2^2 - 1 of ``cg(theta, lam)``, elementwise over an array of ``lam``.
 
-    return f
+    The correlation matrix is diag(lam s, -lam s, 2 lam - 1) with
+    s = sin(2 theta), so its singular values are the absolute diagonal
+    entries: s2 = lam s and s1 = max(lam s, |2 lam - 1|).
+    """
+    t = lam * math.sin(2.0 * theta)
+    z = 2.0 * lam - 1.0
+    return t * t + np.maximum(t * t, z * z) - 1.0
 
 
 def cg_lambda(theta: float) -> float:
     """Mixing weight at which the optimized CHSH value of ``cg(theta, .)`` equals 2.
 
-    Solved by bisection on s1^2 + s2^2 - 1 over the bracket around the last
-    sign change in (0, 1]; the correlation matrix there is exact, so no
-    settings optimization enters the root-find.
+    The root of s1^2 + s2^2 - 1, computed from the first-moment correlation
+    matrix diag(lam s, -lam s, 2 lam - 1), s = sin(2 theta), so no state is
+    built and no settings optimization enters. A 401-point scan of [0, 1]
+    brackets the last sign change. The bisection follows the usual
+    bracketing rule step for step: halve the step and probe lo + step; move
+    lo there when the gap has lo's sign (or is zero); return the probe once
+    the gap is zero or the step is below ``BISECTION_TOL`` + 4 eps |probe|.
     """
     if not 0.0 < theta < math.pi / 2:
         raise ValueError("theta must lie in (0, pi/2)")
-    f = _cg_m_minus_one(theta)
     grid = np.linspace(0.0, 1.0, 401)
-    vals = [f(x) for x in grid]
-    bracket = None
-    for i in range(len(grid) - 1, 0, -1):
-        if vals[i] > 0.0 and vals[i - 1] <= 0.0:
-            bracket = (grid[i - 1], grid[i])
-            break
-    if bracket is None:
+    vals = _cg_chsh_gap(theta, grid)
+    rising = np.flatnonzero((vals[1:] > 0.0) & (vals[:-1] <= 0.0))
+    if rising.size == 0:
         raise ValueError(f"no crossing of the classical CHSH bound for theta={theta}")
-    return float(bisect(f, bracket[0], bracket[1], xtol=BISECTION_TOL))
+    i = rising[-1]
+    lo, f_lo = float(grid[i]), vals[i]
+    if f_lo == 0.0:
+        return lo
+    step = float(grid[i + 1]) - lo
+    # The bracket is 1/400 wide, so this stops after about 25 halvings.
+    while True:
+        step *= 0.5
+        mid = lo + step
+        f_mid = _cg_chsh_gap(theta, mid)
+        if f_mid * f_lo >= 0.0:
+            lo = mid
+        if f_mid == 0.0 or abs(step) < BISECTION_TOL + _BISECTION_RTOL * abs(mid):
+            return mid

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .quantities import QUANTITY_NAMES, compute_quantities
+from .quantities import QUANTITY_NAMES, _compute
 from .states import make_state
 from .bell import OptimizerConfig
 
@@ -65,8 +65,11 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate all quantities on the grid.
 
     Points run one after another in index order, each with its own seed
-    derived from the point index. A failed or non-converged cell
-    becomes NaN with a warning instead of aborting the sweep.
+    derived from the point index. A point's quantities share one cache of
+    intermediates (one ``c3322`` optimization serves ``c3322`` and
+    ``i3322_tilde``), as in ``compute_quantities``. A failed or
+    non-converged cell becomes NaN with a warning instead of aborting the
+    sweep.
     """
     values = spec.grid_values()
     warnings: list[str] = []
@@ -82,9 +85,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             notes.append(f"point {index} ({spec.sweep_param}={values[index]!r}): {exc}")
             return [math.nan] * len(spec.quantities), notes
         row: list[float] = []
+        cache: dict[str, object] = {}
         for name in spec.quantities:
             try:
-                result = compute_quantities([name], rho, point_cfg)[0]
+                result = _compute(name, rho, point_cfg, cache)
             except (ValueError, ArithmeticError) as exc:
                 notes.append(f"point {index}, quantity {name}: {exc}")
                 row.append(math.nan)

@@ -8,6 +8,7 @@ import math
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -47,7 +48,7 @@ from lpow.states import (
     singlet,
     werner,
 )
-from lpow.sweeps import SweepSpec, run_sweep
+from lpow.sweeps import SweepSpec, read_csv, run_sweep
 from util import (
     ginibre_state,
     random_effect,
@@ -261,6 +262,26 @@ def test_sweeps_with_identical_seeds_are_byte_identical(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_committed_cg_results_regenerate():
+    # scripts/cg_figure.py at its defaults reproduces results/cg.csv.
+    t0 = time.perf_counter()
+    header, committed = read_csv(Path(__file__).resolve().parents[1] / "results" / "cg.csv")
+    spec = SweepSpec(
+        family="cg",
+        sweep_param="theta",
+        grid=(0.02, 0.78, 61),
+        quantities=("i3322_tilde", "i2222_tilde", "i2222_lpo_tilde"),
+        optimizer=OptimizerConfig(restarts=64, seed=2),
+    )
+    result = run_sweep(spec)
+    assert result.warnings == ()
+    assert header == ["param", *spec.quantities]
+    assert np.array_equal(committed["param"], result.param_values)
+    for name in spec.quantities:
+        assert np.max(np.abs(result.table[name] - committed[name])) <= 1e-12
+    assert time.perf_counter() - t0 < 60.0
 
 
 def test_cg_family_violates_i3322_while_pinned_at_chsh_bound():

@@ -264,3 +264,12 @@ class TestEntryPoints:
 
     def test_usage_error_exit_code_from_main(self, capsys):
         assert main(["report", "--state", "singlet", "--quantities", "zzz"]) == 2
+
+
+def test_import_does_not_load_scipy():
+    # lpow depends on numpy alone; importing scipy would add about half a
+    # second to every command.
+    code = "import sys, lpow; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -15,6 +15,7 @@ from lpow import (
     optimized_chsh,
 )
 from lpow.states import (
+    _cg_chsh_gap,
     cg,
     classical,
     ghz,
@@ -251,6 +252,48 @@ class TestCgLambda:
             lam = cg_lambda(theta)
             assert 0.0 < lam <= 1.0
             assert abs(optimized_chsh(cg(theta, lam)) - 2.0) < 1e-8
+
+    def test_weights_are_pinned_bit_for_bit(self):
+        # Values of the earlier root-find (trace-built correlation matrices,
+        # a library bisection): the first-moment bisection reproduces them
+        # exactly, so every cg sweep cell is unchanged.
+        pinned = [
+            (0.02, "0x1.ffcb9ebe147aep-1"),
+            (0.172, "0x1.f1d7fa4851eb8p-1"),
+            (0.324, "0x1.d54263470a3d8p-1"),
+            (0.476, "0x1.b726d89f5c28fp-1"),
+            (0.628, "0x1.7cbfb66ae147bp-1"),
+            (0.78, "0x1.6a0f4d447ae15p-1"),
+            (math.pi / 4.0, "0x1.6a09e66851eb8p-1"),
+            (0.15, "0x1.f50f718333334p-1"),
+            (0.3, "0x1.da34172d70a3ep-1"),
+            (0.7, "0x1.6f625baeb8520p-1"),
+            (1.2, "0x1.cb9445d000001p-1"),
+        ]
+        # The first six are the cg benchmark grid, taken from linspace itself.
+        grid = np.linspace(0.02, 0.78, 6)
+        assert [theta for theta, _ in pinned[:6]] == list(grid)
+        for theta, lam_hex in pinned:
+            assert float.hex(cg_lambda(float(theta))) == lam_hex
+
+    def test_agrees_with_closed_form_root(self):
+        # With s = sin 2theta the gap is lam^2 s^2 + max(lam^2 s^2, (2 lam - 1)^2) - 1.
+        # Its largest root is 4 / (4 + s^2) where the z entry dominates there,
+        # else 1 / (sqrt(2) s).
+        for theta in np.linspace(0.0, math.pi / 2.0, 402)[1:-1]:
+            s = math.sin(2.0 * theta)
+            lam_z = 4.0 / (4.0 + s * s)
+            exact = lam_z if abs(2.0 * lam_z - 1.0) >= lam_z * s else 1.0 / (math.sqrt(2.0) * s)
+            assert abs(cg_lambda(float(theta)) - exact) < 1e-10
+
+    def test_first_moment_gap_matches_trace_oracle(self):
+        lams = np.linspace(0.0, 1.0, 41)
+        for theta in (0.02, 0.3, math.pi / 4.0, 1.2):
+            gap = _cg_chsh_gap(theta, lams)
+            for lam, g in zip(lams, gap):
+                oracle = horodecki(cg(theta, float(lam))).m_value ** 2 - 1.0
+                assert abs(g - oracle) < 1e-12
+                assert _cg_chsh_gap(theta, float(lam)) == g
 
     def test_domain_validation(self):
         with pytest.raises(ValueError, match="theta"):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import lpow.quantities
 from lpow import OptimizerConfig, compute_quantities
 from lpow.states import make_state
 from lpow.sweeps import (
@@ -89,6 +90,32 @@ class TestRunSweep:
         assert np.isnan(result.table["s_chsh"][0])
         assert not np.isnan(result.table["s_chsh"][-1])
         assert any("p=" in w for w in result.warnings)
+
+    def test_point_shares_one_optimization_across_quantities(self, monkeypatch):
+        spec = SweepSpec(
+            family="cg",
+            sweep_param="theta",
+            grid=(0.1, 0.4, 3),
+            quantities=("c3322", "i3322_tilde"),
+            optimizer=FAST,
+        )
+        calls = []
+        optimize = lpow.quantities.optimize_functional_value
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return optimize(*args, **kwargs)
+
+        monkeypatch.setattr(lpow.quantities, "optimize_functional_value", counting)
+        result = run_sweep(spec)
+        assert len(calls) == 3
+        monkeypatch.undo()
+        for i, theta in enumerate(result.param_values):
+            cfg = OptimizerConfig(restarts=FAST.restarts, seed=point_seed(FAST.seed, i))
+            rho = make_state("cg", theta=theta)
+            for name in spec.quantities:
+                alone = compute_quantities([name], rho, cfg)[0].value
+                assert result.table[name][i].tobytes() == np.float64(alone).tobytes()
 
     def test_same_seed_bitwise_reproducible(self):
         spec = SweepSpec(
