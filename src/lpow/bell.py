@@ -325,21 +325,25 @@ class BellOptimum:
 
 
 def _normalize_rows(v: np.ndarray, fallback: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(v, axis=-1, keepdims=True)
-    out = np.where(norms > 1e-14, v / np.where(norms == 0.0, 1.0, norms), fallback)
-    return out
+    """Rows of ``v`` scaled to unit length; a row of norm <= 1e-14 becomes ``fallback``."""
+    norms = np.sqrt((v * v).sum(axis=-1, keepdims=True))
+    out = np.empty_like(v)
+    out[...] = fallback
+    return np.divide(v, norms, out=out, where=norms > 1e-14)
 
 
-def _seesaw(update_a, update_b, value, n: int, cfg: OptimizerConfig):
+def _seesaw(update_a, update_b, n: int, cfg: OptimizerConfig):
     """Multi-start alternating block ascent over measurement directions.
 
     ``update_a`` maps a batch of b-directions (restarts, n, 3) to the best
-    a-directions for them, ``update_b`` maps a-directions back to the best
-    b-directions, and ``value`` scores a batch of direction pairs. Every
-    restart starts from Gaussian-drawn b-directions and all advance in
-    lockstep until no restart gains more than ``cfg.value_tolerance`` in
-    one round. Returns the best restart's a- and b-directions and value, the
-    iteration count, and whether that stopping rule fired.
+    a-directions for them; ``update_b`` maps a-directions back to the best
+    b-directions and also returns the batch value of the pair (a, b) it just
+    formed, read off its own block update, so a round is scored without a
+    separate evaluation. Every restart starts from Gaussian-drawn
+    b-directions and all advance in lockstep until no restart gains more
+    than ``cfg.value_tolerance`` in one round. Returns the best restart's a-
+    and b-directions and value, the iteration count, and whether that
+    stopping rule fired.
     """
     rng = np.random.default_rng(cfg.seed)
     b_dirs = _normalize_rows(rng.normal(size=(cfg.restarts, n, 3)), _Z)
@@ -347,9 +351,8 @@ def _seesaw(update_a, update_b, value, n: int, cfg: OptimizerConfig):
     converged = False
     for iterations in range(1, cfg.max_iterations + 1):
         a_dirs = update_a(b_dirs)
-        b_dirs = update_b(a_dirs)
-        new_values = value(a_dirs, b_dirs)
-        converged = bool(np.all(new_values - values <= cfg.value_tolerance))
+        b_dirs, new_values = update_b(a_dirs)
+        converged = bool((new_values - values <= cfg.value_tolerance).all())
         values = np.maximum(values, new_values)
         if converged:
             break
@@ -367,35 +370,40 @@ def optimize_functional_value(
 ) -> BellOptimum:
     """Maximize Tr(rho B) over measurement directions.
 
-    See-saw ascent: with one party's directions fixed, the value is linear
-    in each of the other party's directions, so each block update is the
-    normalized gradient. All restarts advance in lockstep as batched array
-    operations; ``converged`` is true only when every restart's last gain
-    is within ``value_tolerance``.
+    See-saw ascent on first moments: Tr(rho B) = sum_xy alpha_xy a_x^T T b_y
+    + sum_x beta_x a_x.r_A + sum_y gamma_y b_y.r_B is linear in each party's
+    directions once the other party's are fixed, so each block update is one
+    product of the flattened (restarts, 3n) directions with a fixed
+    Kronecker map (kron(alpha^T, T^T) towards A, kron(alpha, T) towards B),
+    plus a constant, followed by a row normalization (a zero gradient falls
+    back to +z). The round's value is read off the B update: with gradients
+    g_y, F = sum_y b_y.g_y + sum_x beta_x a_x.r_A, which is sum_y |g_y| plus
+    the A marginal term. All restarts advance in lockstep; ``converged`` is
+    true only when every restart's last gain is within ``value_tolerance``.
     """
-    n = f.shape[1]
+    m, n = f.shape
     r_a = bloch_vector(rho.marginal(0))
     r_b = bloch_vector(rho.marginal(1))
     t = correlation_matrix(rho)
+    to_a = np.kron(f.alpha.T, t.T)
+    to_b = np.kron(f.alpha, t)
+    shift_a = np.kron(f.beta, r_a)
+    shift_b = np.kron(f.gamma, r_b)
 
     def update_a(b_dirs):
-        grad = np.einsum("mn,rny->rmy", f.alpha, b_dirs @ t.T) + f.beta[:, None] * r_a[None, None, :]
-        return _normalize_rows(grad, _Z)
+        grad = b_dirs.reshape(len(b_dirs), -1) @ to_a + shift_a
+        return _normalize_rows(grad.reshape(-1, m, 3), _Z)
 
     def update_b(a_dirs):
-        grad = np.einsum("mn,rmy->rny", f.alpha.T, a_dirs @ t) + f.gamma[:, None] * r_b[None, None, :]
-        return _normalize_rows(grad, _Z)
-
-    def batch_value(a_d, b_d):
-        a = a_d @ r_a
-        b = b_d @ r_b
-        c = np.einsum("rmx,xy,rny->rmn", a_d, t, b_d)
-        return np.einsum("mn,rmn->r", f.alpha, c) + a @ f.beta + b @ f.gamma
+        a_flat = a_dirs.reshape(len(a_dirs), -1)
+        grad = (a_flat @ to_b + shift_b).reshape(-1, n, 3)
+        b_dirs = _normalize_rows(grad, _Z)
+        return b_dirs, np.einsum("rny,rny->r", b_dirs, grad) + a_flat @ shift_a
 
     cfg = OptimizerConfig(
         restarts=restarts, max_iterations=max_iterations, value_tolerance=value_tolerance, seed=seed
     )
-    a_best, b_best, value, iterations, converged = _seesaw(update_a, update_b, batch_value, n, cfg)
+    a_best, b_best, value, iterations, converged = _seesaw(update_a, update_b, n, cfg)
     return BellOptimum(
         value=value,
         scenario=scenario_from_directions(a_best, b_best),

@@ -28,8 +28,11 @@ def _parse_state(spec: str) -> tuple[str, dict[str, float]]:
             key, eq, value = item.partition("=")
             if not eq:
                 raise ValueError(f"malformed state parameter {item!r} (expected key=value)")
+            key = key.strip()
+            if key in params:
+                raise ValueError(f"state parameter {key!r} given more than once")
             try:
-                params[key.strip()] = float(value)
+                params[key] = float(value)
             except ValueError:
                 raise ValueError(f"non-numeric state parameter {item!r}") from None
     return family, params

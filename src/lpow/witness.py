@@ -188,15 +188,18 @@ def bound_orthogonal(rho: DensityMatrix, f: BellFunctional) -> float:
     return float(spectral * na * nb + beta_max * na**2 + gamma_max * nb**2)
 
 
-def _top_eigenvectors(r: np.ndarray, w: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _top_eigenvectors(r: np.ndarray, w: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unit u maximizing (u.r)(u.w) + q (u.r)^2, batched over w (..., k, 3) and q (k,).
 
     The form is u^T M u with M = sym(r w^T) + q r r^T, so the maximizer is
-    M's top eigenvector; its sign is immaterial because the form is even in u.
+    M's top eigenvector and the maximum is its top eigenvalue; both come from
+    one batched eigh and are returned as (vectors (..., k, 3), maxima (..., k)).
+    The vector's sign is immaterial because the form is even in u.
     """
     rw = r[:, None] * w[..., None, :]
     mats = 0.5 * (rw + rw.swapaxes(-1, -2)) + q[:, None, None] * np.outer(r, r)
-    return np.linalg.eigh(mats)[1][..., -1]
+    eigenvalues, eigenvectors = np.linalg.eigh(mats)
+    return eigenvectors[..., -1], eigenvalues[..., -1]
 
 
 def _rotation_matrices(angles: np.ndarray) -> np.ndarray:
@@ -304,29 +307,33 @@ def sym_sup(
             converged=True,
         )
 
-    def value_from_dirs(a_dirs: np.ndarray, b_dirs: np.ndarray) -> np.ndarray:
-        a = a_dirs @ r_a
-        b = b_dirs @ r_b
-        c = np.einsum("rmx,xy,rny->rmn", a_dirs, t, b_dirs)
-        return (
-            np.einsum("xy,rx,ry,rxy->r", f.alpha, a, b, c)
-            + (a**2) @ f.beta
-            + (b**2) @ f.gamma
-        )
-
     if constraint == "free":
 
         def update_a(b_dirs: np.ndarray) -> np.ndarray:
             # w_x = sum_y alpha_xy (b_y . r_B) T b_y
             w = (f.alpha * (b_dirs @ r_b)[:, None, :]) @ (b_dirs @ t.T)
-            return _top_eigenvectors(r_a, w, f.beta)
+            return _top_eigenvectors(r_a, w, f.beta)[0]
 
-        def update_b(a_dirs: np.ndarray) -> np.ndarray:
-            w = (f.alpha.T * (a_dirs @ r_a)[:, None, :]) @ (a_dirs @ t)
-            return _top_eigenvectors(r_b, w, f.gamma)
+        def update_b(a_dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            # The witness is sum_y lambda_max(M_y) + sum_x beta_x (a_x . r_A)^2
+            # at the b-directions this update returns.
+            a = a_dirs @ r_a
+            w = (f.alpha.T * a[:, None, :]) @ (a_dirs @ t)
+            b_dirs, top = _top_eigenvectors(r_b, w, f.gamma)
+            return b_dirs, top.sum(axis=-1) + (a**2) @ f.beta
 
-        a_best, b_best, value, _, converged = _seesaw(update_a, update_b, value_from_dirs, n, cfg)
+        a_best, b_best, value, _, converged = _seesaw(update_a, update_b, n, cfg)
     else:
+
+        def value_from_dirs(a_dirs: np.ndarray, b_dirs: np.ndarray) -> np.ndarray:
+            a = a_dirs @ r_a
+            b = b_dirs @ r_b
+            c = np.einsum("rmx,xy,rny->rmn", a_dirs, t, b_dirs)
+            return (
+                np.einsum("xy,rx,ry,rxy->r", f.alpha, a, b, c)
+                + (a**2) @ f.beta
+                + (b**2) @ f.gamma
+            )
 
         def unpack(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             rot_a = _rotation_matrices(params[:, :3])

@@ -5,12 +5,14 @@ budget, so a verbose run gives one pass/fail line per claim.
 """
 
 import math
+import runpy
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from lpow import (
     OptimizerConfig,
@@ -264,23 +266,23 @@ def test_sweeps_with_identical_seeds_are_byte_identical(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_committed_cg_results_regenerate():
-    # scripts/cg_figure.py at its defaults reproduces results/cg.csv.
+@pytest.mark.parametrize("figure", ["transition", "werner", "classical", "cg"])
+def test_committed_results_regenerate(figure, tmp_path, monkeypatch, capsys):
+    # scripts/<figure>_figure.py at its defaults reproduces results/<figure>.csv.
     t0 = time.perf_counter()
-    header, committed = read_csv(Path(__file__).resolve().parents[1] / "results" / "cg.csv")
-    spec = SweepSpec(
-        family="cg",
-        sweep_param="theta",
-        grid=(0.02, 0.78, 61),
-        quantities=("i3322_tilde", "i2222_tilde", "i2222_lpo_tilde"),
-        optimizer=OptimizerConfig(restarts=64, seed=2),
-    )
-    result = run_sweep(spec)
-    assert result.warnings == ()
-    assert header == ["param", *spec.quantities]
-    assert np.array_equal(committed["param"], result.param_values)
-    for name in spec.quantities:
-        assert np.max(np.abs(result.table[name] - committed[name])) <= 1e-12
+    root = Path(__file__).resolve().parents[1]
+    script = root / "scripts" / f"{figure}_figure.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--out-dir", str(tmp_path)])
+    runpy.run_path(str(script), run_name="__main__")
+    assert "warning" not in capsys.readouterr().out
+    header, committed = read_csv(root / "results" / f"{figure}.csv")
+    fresh_header, fresh = read_csv(tmp_path / f"{figure}.csv")
+    assert fresh_header == header
+    assert np.array_equal(fresh["param"], committed["param"])
+    for name in header[1:]:
+        missing = np.isnan(committed[name])
+        assert np.array_equal(np.isnan(fresh[name]), missing)
+        assert np.all(np.abs(fresh[name] - committed[name])[~missing] <= 1e-12)
     assert time.perf_counter() - t0 < 60.0
 
 

@@ -276,10 +276,19 @@ class TestOptimizeFunctionalValue:
         assert not opt.converged
 
     def test_reported_scenario_achieves_value(self, rng):
-        rho = ginibre_state(rng)
-        f = preset_functional("chsh")
-        opt = optimize_functional_value(rho, f, restarts=16, seed=5)
-        assert abs(functional_value(rho, f, opt.scenario) - opt.value) < 1e-10
+        # The second functional has alpha != alpha^T, so the B update must
+        # contract alpha itself, not its transpose.
+        skew = BellFunctional(
+            alpha=np.array([[1.0, 2.0], [-0.5, 0.3]]),
+            beta=np.array([0.1, 0.0]),
+            gamma=np.array([0.0, 0.2]),
+        )
+        for f in (preset_functional("chsh"), skew):
+            for seed in range(4):
+                rho = ginibre_state(rng)
+                opt = optimize_functional_value(rho, f, restarts=16, seed=seed + 5)
+                assert opt.converged
+                assert abs(functional_value(rho, f, opt.scenario) - opt.value) < 1e-10
 
     def test_never_below_lhv_reachable_and_never_above_quantum_max(self, rng):
         f = preset_functional("chsh")

@@ -75,6 +75,14 @@ class TestReport:
         proc = run_cli("report", "--state", "werner:p=x", "--quantities", "s_chsh")
         assert proc.returncode == 2
 
+    def test_repeated_state_parameter_is_usage_error(self):
+        proc = run_cli(
+            "report", "--state", "werner:p=0.1,p=0.9", "--quantities", "horodecki_m"
+        )
+        assert proc.returncode == 2
+        assert "'p' given more than once" in proc.stderr
+        assert proc.stdout == ""
+
     def test_non_finite_state_parameter_is_named(self):
         proc = run_cli(
             "report", "--state", "classical:theta=nan,beta=0", "--quantities", "s_chsh"
@@ -149,6 +157,16 @@ out = {tmp_path / 'b.csv'}
         proc = run_cli("sweep", "--config", str(cfg))
         assert proc.returncode == 2
         assert "missing" in proc.stderr
+
+    def test_config_repeated_fixed_parameter_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "twice.ini"
+        cfg.write_text(
+            "[c]\nfamily = classical\nparam = theta\ngrid = 0:1:2\n"
+            f"quantities = s_chsh\nfixed = beta=0.0, beta=0.5\nout = {tmp_path / 'c.csv'}\n"
+        )
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert "'beta' given more than once" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
 
     def test_empty_config_is_usage_error(self, tmp_path):
         cfg = tmp_path / "empty.ini"
