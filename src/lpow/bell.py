@@ -4,17 +4,17 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import kron
-from .states import DensityMatrix, QubitObservable, bloch_vector, correlation_matrix
+from .states import DensityMatrix, QubitObservable, first_moments
 
 MEANS_CROSS_CHECK_TOL = 1e-12
 IDENTITY_TOL = 1e-10
 ORTHOGONALITY_TOL = 1e-10
-ENUMERATION_LIMIT = 24
+ENUMERATION_LIMIT = 20
 _Z = np.array([0.0, 0.0, 1.0])
 
 
@@ -169,9 +169,7 @@ def marginal_means(rho: DensityMatrix, s: MeasurementScenario) -> MarginalMeans:
             for ax in s.alice
         ]
     )
-    r_a = bloch_vector(rho_a)
-    r_b = bloch_vector(rho_b)
-    t = correlation_matrix(rho)
+    r_a, r_b, t = first_moments(rho)
     a_bloch = s.alice_directions @ r_a
     b_bloch = s.bob_directions @ r_b
     c_bloch = s.alice_directions @ t @ s.bob_directions.T
@@ -200,16 +198,28 @@ def functional_value(rho: DensityMatrix, f: BellFunctional, s: MeasurementScenar
     return float((f.alpha * means.c).sum() + f.beta @ means.a + f.gamma @ means.b)
 
 
+def _sign_vertices(k: int) -> np.ndarray:
+    """All 2^k sign vectors as rows of a (2^k, k) table, -1 before +1 in each column.
+
+    The row order is that of ``itertools.product((-1, 1), repeat=k)``, so the
+    first maximum of a vectorized scan is the first in lexicographic sign
+    order. Raises for k above ``ENUMERATION_LIMIT`` before building anything.
+    """
+    if k > ENUMERATION_LIMIT:
+        raise ValueError(
+            f"scenario too large for vertex enumeration ({k} signs, limit {ENUMERATION_LIMIT})"
+        )
+    bits = (np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    return 2.0 * bits - 1.0
+
+
 def lhv_bound(f: BellFunctional) -> float:
     """Exact deterministic bound: max of F over all sign assignments.
 
     The b-side vertices are enumerated; for each, the optimal a is the
     coordinate-wise sign choice, so the scan is exact at 2^n cost.
     """
-    m, n = f.shape
-    if m + n > ENUMERATION_LIMIT:
-        raise ValueError(f"scenario too large for vertex enumeration (m+n={m + n})")
-    signs = np.array([[1.0 - 2.0 * ((k >> j) & 1) for j in range(n)] for k in range(2**n)])
+    signs = _sign_vertices(f.shape[1])
     values = np.abs(signs @ f.alpha.T + f.beta).sum(axis=1) + signs @ f.gamma
     return float(values.max())
 
@@ -293,15 +303,15 @@ def normalized_value(kind: str, raw: float) -> float:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Multi-start optimizer parameters.
+    """Multi-start see-saw parameters.
 
-    ``step_tolerance`` stops only the compass search of the orthogonal mode;
-    the see-saw optimizers stop on ``value_tolerance``.
+    Every optimizer runs ``restarts`` lockstep starts drawn from ``seed`` and
+    stops once no start gains more than ``value_tolerance`` in one round, or
+    after ``max_iterations`` rounds.
     """
 
     restarts: int = 64
     max_iterations: int = 20000
-    step_tolerance: float = 1e-9
     value_tolerance: float = 1e-10
     seed: int = 0
 
@@ -310,7 +320,7 @@ class OptimizerConfig:
             raise ValueError("restarts must be >= 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.step_tolerance <= 0 or self.value_tolerance <= 0:
+        if self.value_tolerance <= 0:
             raise ValueError("tolerances must be positive")
 
 
@@ -332,26 +342,33 @@ def _normalize_rows(v: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     return np.divide(v, norms, out=out, where=norms > 1e-14)
 
 
-def _seesaw(update_a, update_b, n: int, cfg: OptimizerConfig):
+def _gaussian_directions(n: int, cfg: OptimizerConfig) -> np.ndarray:
+    """(restarts, n, 3) unit directions normalized from Gaussian draws of ``cfg.seed``."""
+    rng = np.random.default_rng(cfg.seed)
+    return _normalize_rows(rng.normal(size=(cfg.restarts, n, 3)), _Z)
+
+
+def _seesaw(update_a, update_b, a_dirs, b_dirs, cfg: OptimizerConfig):
     """Multi-start alternating block ascent over measurement directions.
 
-    ``update_a`` maps a batch of b-directions (restarts, n, 3) to the best
-    a-directions for them; ``update_b`` maps a-directions back to the best
-    b-directions and also returns the batch value of the pair (a, b) it just
+    Both updates take the current batches ``(a_dirs, b_dirs)``, each of
+    shape (restarts, k, 3), so an update may start from its own block's
+    previous directions. ``update_a`` returns the best a-directions for the
+    given b-directions; ``update_b`` returns the best b-directions for the
+    given a-directions and also the batch value of the pair (a, b) it just
     formed, read off its own block update, so a round is scored without a
-    separate evaluation. Every restart starts from Gaussian-drawn
-    b-directions and all advance in lockstep until no restart gains more
-    than ``cfg.value_tolerance`` in one round. Returns the best restart's a-
-    and b-directions and value, the iteration count, and whether that
-    stopping rule fired.
+    separate evaluation. The caller supplies the starting batches (an update
+    that ignores its own block may start from ``a_dirs=None``); all restarts
+    advance in lockstep until no restart gains more than
+    ``cfg.value_tolerance`` in one round. Returns the best restart's a- and
+    b-directions and value, the iteration count, and whether that stopping
+    rule fired.
     """
-    rng = np.random.default_rng(cfg.seed)
-    b_dirs = _normalize_rows(rng.normal(size=(cfg.restarts, n, 3)), _Z)
     values = np.full(cfg.restarts, -np.inf)
     converged = False
     for iterations in range(1, cfg.max_iterations + 1):
-        a_dirs = update_a(b_dirs)
-        b_dirs, new_values = update_b(a_dirs)
+        a_dirs = update_a(a_dirs, b_dirs)
+        b_dirs, new_values = update_b(a_dirs, b_dirs)
         converged = bool((new_values - values <= cfg.value_tolerance).all())
         values = np.maximum(values, new_values)
         if converged:
@@ -382,19 +399,17 @@ def optimize_functional_value(
     true only when every restart's last gain is within ``value_tolerance``.
     """
     m, n = f.shape
-    r_a = bloch_vector(rho.marginal(0))
-    r_b = bloch_vector(rho.marginal(1))
-    t = correlation_matrix(rho)
+    r_a, r_b, t = first_moments(rho)
     to_a = np.kron(f.alpha.T, t.T)
     to_b = np.kron(f.alpha, t)
     shift_a = np.kron(f.beta, r_a)
     shift_b = np.kron(f.gamma, r_b)
 
-    def update_a(b_dirs):
+    def update_a(_, b_dirs):
         grad = b_dirs.reshape(len(b_dirs), -1) @ to_a + shift_a
         return _normalize_rows(grad.reshape(-1, m, 3), _Z)
 
-    def update_b(a_dirs):
+    def update_b(a_dirs, _):
         a_flat = a_dirs.reshape(len(a_dirs), -1)
         grad = (a_flat @ to_b + shift_b).reshape(-1, n, 3)
         b_dirs = _normalize_rows(grad, _Z)
@@ -403,7 +418,9 @@ def optimize_functional_value(
     cfg = OptimizerConfig(
         restarts=restarts, max_iterations=max_iterations, value_tolerance=value_tolerance, seed=seed
     )
-    a_best, b_best, value, iterations, converged = _seesaw(update_a, update_b, n, cfg)
+    a_best, b_best, value, iterations, converged = _seesaw(
+        update_a, update_b, None, _gaussian_directions(n, cfg), cfg
+    )
     return BellOptimum(
         value=value,
         scenario=scenario_from_directions(a_best, b_best),

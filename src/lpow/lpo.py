@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import HERMITICITY_TOL, dagger, kron, partial_trace
-from .states import DensityMatrix, QubitObservable, bloch_vector, correlation_matrix
+from .states import DensityMatrix, QubitObservable, first_moments
 
 DUAL_PATH_TOL = 1e-10
 
@@ -62,9 +62,7 @@ def lpo_correlator(ax: QubitObservable, by: QubitObservable, rho: DensityMatrix)
     """
     if rho.dims != (2, 2):
         raise ValueError("lpo_correlator needs a two-qubit state")
-    r_a = bloch_vector(rho.marginal(0))
-    r_b = bloch_vector(rho.marginal(1))
-    t = correlation_matrix(rho)
+    r_a, r_b, t = first_moments(rho)
     a = float(r_a @ ax.direction)
     b = float(r_b @ by.direction)
     c = float(ax.direction @ t @ by.direction)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -250,6 +250,11 @@ def correlation_matrix(rho: DensityMatrix) -> np.ndarray:
     return np.array(
         [[np.trace(m @ kron(PAULIS[i], PAULIS[j])).real for j in range(3)] for i in range(3)]
     )
+
+
+def first_moments(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Marginal Bloch vectors r_A, r_B and correlation matrix T of a two-qubit state."""
+    return bloch_vector(rho.marginal(0)), bloch_vector(rho.marginal(1)), correlation_matrix(rho)
 
 
 def horodecki(rho: DensityMatrix) -> HorodeckiResult:

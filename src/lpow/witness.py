@@ -2,21 +2,21 @@
 
 from __future__ import annotations
 
-import itertools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import kron, singular_values
 from .lpo import lpo_project
-from .states import DensityMatrix, QubitObservable, bloch_vector, correlation_matrix
+from .states import DensityMatrix, QubitObservable, bloch_vector, first_moments
 from .bell import (
     BellFunctional,
     MeasurementScenario,
     OptimizerConfig,
     _Z,
+    _gaussian_directions,
     _seesaw,
+    _sign_vertices,
     bell_operator_matrix,
     bilinear_value,
     lhv_bound,
@@ -54,12 +54,6 @@ class WitnessReport:
         raise KeyError(name)
 
 
-def _marginal_geometry(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    r_a = bloch_vector(rho.marginal(0))
-    r_b = bloch_vector(rho.marginal(1))
-    return r_a, r_b, correlation_matrix(rho)
-
-
 def asym_value_fixed(rho: DensityMatrix, f: BellFunctional, s: MeasurementScenario) -> float:
     """One-sided witness integrand Tr[(rho_A x rho_B) B(s)] at fixed settings."""
     rho_prod = kron(rho.marginal(0).matrix, rho.marginal(1).matrix)
@@ -76,25 +70,25 @@ def asym_sup(rho: DensityMatrix, f: BellFunctional) -> WitnessReport:
     """Supremum of the one-sided witness over all free settings.
 
     Each mean ranges independently over [-|r|, |r|], so the maximum of the
-    bilinear form sits at a vertex of the scaled hypercube; vertices are
-    enumerated exhaustively and ties break to the first maximum in
+    bilinear form sits at a vertex of the scaled hypercube; all 2^(m+n)
+    vertices are scored at once and ties break to the first maximum in
     lexicographic sign order.
     """
     if rho.dims != (2, 2):
         raise ValueError("asym_sup needs a two-qubit state")
     m, n = f.shape
-    r_a, r_b, _ = _marginal_geometry(rho)
+    signs = _sign_vertices(m + n)
+    r_a, r_b, _ = first_moments(rho)
     norm_a = float(np.linalg.norm(r_a))
     norm_b = float(np.linalg.norm(r_b))
-    best_value = -math.inf
-    best_signs = None
-    for signs in itertools.product((-1.0, 1.0), repeat=m + n):
-        a = norm_a * np.array(signs[:m])
-        b = norm_b * np.array(signs[m:])
-        value = bilinear_value(f, a, b)
-        if value > best_value:
-            best_value = value
-            best_signs = signs
+    a = norm_a * signs[:, None, :m]
+    b = norm_b * signs[:, m:, None]
+    # Row and column stacks multiply in bilinear_value's order, so each
+    # vertex scores exactly as bilinear_value would score it.
+    values = (a @ f.alpha @ b)[:, 0, 0] + (a @ f.beta)[:, 0] + (f.gamma @ b)[:, 0]
+    best = int(np.argmax(values))
+    best_value = values[best]
+    best_signs = signs[best]
     unit_a = r_a / norm_a if norm_a > DEGENERATE_NORM else _Z
     unit_b = r_b / norm_b if norm_b > DEGENERATE_NORM else _Z
     scenario = scenario_from_directions(
@@ -162,7 +156,7 @@ def bound_geometry_free(rho: DensityMatrix, f: BellFunctional) -> float:
     positive quadratic coefficients can contribute since the squared means
     may always be sent to zero.
     """
-    r_a, r_b, _ = _marginal_geometry(rho)
+    r_a, r_b, _ = first_moments(rho)
     na = float(np.linalg.norm(r_a))
     nb = float(np.linalg.norm(r_b))
     return float(
@@ -179,7 +173,7 @@ def bound_orthogonal(rho: DensityMatrix, f: BellFunctional) -> float:
     positive quadratic coefficients times the squared norms; orthogonality
     makes the per-party mean vectors Parseval-bounded.
     """
-    r_a, r_b, _ = _marginal_geometry(rho)
+    r_a, r_b, _ = first_moments(rho)
     na = float(np.linalg.norm(r_a))
     nb = float(np.linalg.norm(r_b))
     spectral = float(singular_values(np.abs(f.alpha))[0])
@@ -188,83 +182,62 @@ def bound_orthogonal(rho: DensityMatrix, f: BellFunctional) -> float:
     return float(spectral * na * nb + beta_max * na**2 + gamma_max * nb**2)
 
 
-def _top_eigenvectors(r: np.ndarray, w: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit u maximizing (u.r)(u.w) + q (u.r)^2, batched over w (..., k, 3) and q (k,).
+def _setting_forms(r: np.ndarray, w: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Per-setting 3x3 forms M_k = sym(r w_k^T) + q_k r r^T, batched over w (..., k, 3).
 
-    The form is u^T M u with M = sym(r w^T) + q r r^T, so the maximizer is
-    M's top eigenvector and the maximum is its top eigenvalue; both come from
-    one batched eigh and are returned as (vectors (..., k, 3), maxima (..., k)).
-    The vector's sign is immaterial because the form is even in u.
+    With the other party's directions fixed, setting k contributes
+    (u.r)(u.w_k) + q_k (u.r)^2 = u^T M_k u to the two-sided witness.
     """
     rw = r[:, None] * w[..., None, :]
-    mats = 0.5 * (rw + rw.swapaxes(-1, -2)) + q[:, None, None] * np.outer(r, r)
+    return 0.5 * (rw + rw.swapaxes(-1, -2)) + q[:, None, None] * np.outer(r, r)
+
+
+def _top_eigenvectors(_, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit u_k maximizing u_k^T M_k u_k for each form in ``mats`` (..., k, 3, 3).
+
+    The maximizer is M_k's top eigenvector and the maximum its top
+    eigenvalue; both come from one batched eigh and are returned as
+    (vectors (..., k, 3), maxima (..., k)). The vector's sign is immaterial
+    because the form is even in u. The first argument (the previous
+    directions) is not needed.
+    """
     eigenvalues, eigenvectors = np.linalg.eigh(mats)
     return eigenvectors[..., -1], eigenvalues[..., -1]
 
 
-def _rotation_matrices(angles: np.ndarray) -> np.ndarray:
-    """Batched z-y-z rotations from angle triples (..., 3)."""
-    a, b, c = angles[..., 0], angles[..., 1], angles[..., 2]
+def _jacobi_sweep(frame: np.ndarray, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One cyclic Jacobi sweep raising sum_k u_k^T M_k u_k over orthonormal frames.
 
-    def rz(t):
-        ct, st = np.cos(t), np.sin(t)
-        zero = np.zeros_like(t)
-        one = np.ones_like(t)
-        return np.stack(
-            [
-                np.stack([ct, -st, zero], axis=-1),
-                np.stack([st, ct, zero], axis=-1),
-                np.stack([zero, zero, one], axis=-1),
-            ],
-            axis=-2,
-        )
-
-    def ry(t):
-        ct, st = np.cos(t), np.sin(t)
-        zero = np.zeros_like(t)
-        one = np.ones_like(t)
-        return np.stack(
-            [
-                np.stack([ct, zero, st], axis=-1),
-                np.stack([zero, one, zero], axis=-1),
-                np.stack([-st, zero, ct], axis=-1),
-            ],
-            axis=-2,
-        )
-
-    return rz(c) @ ry(b) @ rz(a)
-
-
-def _compass_maximize(objective, n_params: int, cfg: OptimizerConfig):
-    """Multi-start pattern search: coordinate steps with per-restart shrinking step.
-
-    The first restart starts from the zero angle vector (canonical frame);
-    the rest are uniform random. Returns best parameters, per-restart values
-    and the final step sizes.
+    ``frame`` (..., 3, 3) holds the rows u_k and ``mats`` (..., 3, 3, 3) the
+    symmetric forms M_k. Rotating rows i and j by theta turns the sum into
+    const + P cos 2theta + Q sin 2theta, with P = [(p_ii + q_jj) - (p_jj + q_ii)]/2
+    and Q = p_ij - q_ij for the pair's 2x2 forms p (of M_i) and q (of M_j),
+    so 2theta = atan2(Q, P) maximizes it exactly and the sum never
+    decreases (the cyclic Jacobi scheme of Golub & Van Loan, Matrix
+    Computations, sec. 8.5). Rotates ``frame`` in place through the planes
+    (0,1), (0,2), (1,2) and returns it with the per-row forms u_k^T M_k u_k.
     """
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        pair = frame[..., (i, j), :]
+        g = np.einsum("...pa,...kab,...qb->...kpq", pair, mats[..., (i, j), :, :], pair)
+        p, q = g[..., 0, :, :], g[..., 1, :, :]
+        half = 0.5 * np.arctan2(
+            p[..., 0, 1] - q[..., 0, 1],
+            0.5 * ((p[..., 0, 0] + q[..., 1, 1]) - (p[..., 1, 1] + q[..., 0, 0])),
+        )
+        c, s = np.cos(half)[..., None], np.sin(half)[..., None]
+        u, v = pair[..., 0, :], pair[..., 1, :]
+        frame[..., i, :] = c * u + s * v
+        frame[..., j, :] = c * v - s * u
+    return frame, np.einsum("...ka,...kab,...kb->...k", frame, mats, frame)
+
+
+def _random_frames(cfg: OptimizerConfig) -> np.ndarray:
+    """(2, restarts, 3, 3) orthonormal frames per party; restart 0 is the canonical frame."""
     rng = np.random.default_rng(cfg.seed)
-    params = rng.uniform(0.0, 2.0 * math.pi, size=(cfg.restarts, n_params))
-    params[0] = 0.0
-    values = objective(params)
-    steps = np.full(cfg.restarts, 0.5)
-    for _ in range(cfg.max_iterations):
-        improved = np.zeros(cfg.restarts, dtype=bool)
-        # Sufficient-decrease rule: gains must beat a step-size-squared forcing
-        # term, otherwise plateau wandering keeps large steps alive forever.
-        threshold = np.maximum(cfg.value_tolerance, 1e-4 * steps * steps)
-        for j in range(n_params):
-            for sign in (1.0, -1.0):
-                candidate = params.copy()
-                candidate[:, j] += sign * steps
-                cand_values = objective(candidate)
-                accept = cand_values > values + threshold
-                params[accept] = candidate[accept]
-                values[accept] = cand_values[accept]
-                improved |= accept
-        steps[~improved] *= 0.5
-        if (steps < cfg.step_tolerance).all():
-            break
-    return params, values, steps
+    frames = np.linalg.qr(rng.normal(size=(2, cfg.restarts, 3, 3)))[0]
+    frames[:, 0] = np.eye(3)
+    return frames
 
 
 def sym_sup(
@@ -273,16 +246,21 @@ def sym_sup(
     constraint: str = "free",
     cfg: OptimizerConfig | None = None,
 ) -> WitnessReport:
-    """Supremum of the two-sided witness over settings.
+    """Supremum of the two-sided witness over settings, by see-saw block ascent.
 
-    ``free`` runs the see-saw eigen-ascent: with one party's directions
-    fixed, the witness is a sum of per-setting quadratic forms in the other
-    party's directions, so each block update is a top eigenvector of a 3x3
-    matrix. ``orthogonal`` keeps the compass search over one rotation of the
-    canonical axis frame per party, so the constraint holds by construction.
-    When the applicable cap already pins the witness to zero (e.g. a
-    maximally mixed marginal with no positive quadratic coefficient), the
-    optimization is skipped. ``converged`` describes the reported restart.
+    With one party's directions fixed, the witness is a sum of per-setting
+    quadratic forms u^T M_k u in the other party's directions (3x3 M_k), so
+    each block update maximizes that sum. ``free`` takes each M_k's top
+    eigenvector, starting from Gaussian-drawn b-directions. ``orthogonal``
+    keeps one orthonormal frame per party (setting k is row k; alpha, beta
+    and gamma are padded with zeros to 3 settings, so unused rows carry
+    M = 0) and runs one cyclic Jacobi sweep of plane rotations per update,
+    starting from the canonical frames in restart 0 and random rotations in
+    the others. Each round's value is read off the B update: the sum of
+    b_y^T M_y b_y plus the beta terms of the fixed a-directions. When the
+    applicable cap already pins the witness to zero (e.g. a maximally mixed
+    marginal with no positive quadratic coefficient), the optimization is
+    skipped. ``converged`` describes the reported restart.
     """
     if constraint not in ("free", "orthogonal"):
         raise ValueError(f"unknown constraint {constraint!r}")
@@ -290,7 +268,7 @@ def sym_sup(
         raise ValueError("sym_sup needs a two-qubit state")
     cfg = cfg or OptimizerConfig()
     m, n = f.shape
-    r_a, r_b, t = _marginal_geometry(rho)
+    r_a, r_b, t = first_moments(rho)
 
     bounds = [("geometry_free", bound_geometry_free(rho, f))]
     if constraint == "orthogonal":
@@ -308,50 +286,32 @@ def sym_sup(
         )
 
     if constraint == "free":
-
-        def update_a(b_dirs: np.ndarray) -> np.ndarray:
-            # w_x = sum_y alpha_xy (b_y . r_B) T b_y
-            w = (f.alpha * (b_dirs @ r_b)[:, None, :]) @ (b_dirs @ t.T)
-            return _top_eigenvectors(r_a, w, f.beta)[0]
-
-        def update_b(a_dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            # The witness is sum_y lambda_max(M_y) + sum_x beta_x (a_x . r_A)^2
-            # at the b-directions this update returns.
-            a = a_dirs @ r_a
-            w = (f.alpha.T * a[:, None, :]) @ (a_dirs @ t)
-            b_dirs, top = _top_eigenvectors(r_b, w, f.gamma)
-            return b_dirs, top.sum(axis=-1) + (a**2) @ f.beta
-
-        a_best, b_best, value, _, converged = _seesaw(update_a, update_b, n, cfg)
+        alpha, beta, gamma = f.alpha, f.beta, f.gamma
+        maximize = _top_eigenvectors
+        a_start, b_start = None, _gaussian_directions(n, cfg)
     else:
+        alpha = np.pad(f.alpha, ((0, 3 - m), (0, 3 - n)))
+        beta = np.pad(f.beta, (0, 3 - m))
+        gamma = np.pad(f.gamma, (0, 3 - n))
+        maximize = _jacobi_sweep
+        a_start, b_start = _random_frames(cfg)
 
-        def value_from_dirs(a_dirs: np.ndarray, b_dirs: np.ndarray) -> np.ndarray:
-            a = a_dirs @ r_a
-            b = b_dirs @ r_b
-            c = np.einsum("rmx,xy,rny->rmn", a_dirs, t, b_dirs)
-            return (
-                np.einsum("xy,rx,ry,rxy->r", f.alpha, a, b, c)
-                + (a**2) @ f.beta
-                + (b**2) @ f.gamma
-            )
+    def update_a(a_dirs: np.ndarray, b_dirs: np.ndarray) -> np.ndarray:
+        # w_x = sum_y alpha_xy (b_y . r_B) T b_y
+        w = (alpha * (b_dirs @ r_b)[:, None, :]) @ (b_dirs @ t.T)
+        return maximize(a_dirs, _setting_forms(r_a, w, beta))[0]
 
-        def unpack(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            rot_a = _rotation_matrices(params[:, :3])
-            rot_b = _rotation_matrices(params[:, 3:])
-            # Direction i is the image of the i-th canonical axis.
-            return rot_a.swapaxes(-1, -2)[:, :m, :], rot_b.swapaxes(-1, -2)[:, :n, :]
+    def update_b(a_dirs: np.ndarray, b_dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        a = a_dirs @ r_a
+        w = (alpha.T * a[:, None, :]) @ (a_dirs @ t)
+        b_dirs, forms = maximize(b_dirs, _setting_forms(r_b, w, gamma))
+        return b_dirs, forms.sum(axis=-1) + (a**2) @ beta
 
-        params, values, steps = _compass_maximize(lambda p: value_from_dirs(*unpack(p)), 6, cfg)
-        best = int(np.argmax(values))
-        a_dirs, b_dirs = unpack(params[best : best + 1])
-        a_best, b_best = a_dirs[0], b_dirs[0]
-        value = float(values[best])
-        converged = bool(steps[best] < cfg.step_tolerance)
-
+    a_best, b_best, value, _, converged = _seesaw(update_a, update_b, a_start, b_start, cfg)
     return WitnessReport(
         value=value,
         optimizing_scenario=scenario_from_directions(
-            a_best, b_best, orthogonal=(constraint == "orthogonal")
+            a_best[:m], b_best[:n], orthogonal=(constraint == "orthogonal")
         ),
         bounds=tuple(bounds),
         restarts_used=cfg.restarts,
@@ -397,18 +357,24 @@ def mermin_value(
     return total
 
 
+def _mermin_vertex_max(norms) -> float:
+    """Max of the Mermin combination over per-party mean boxes [-|r_J|, |r_J|]^2.
+
+    The combination is multilinear, so the maximum sits at a sign vertex.
+    """
+    signs = _sign_vertices(6)
+    means = [norms[party] * signs[:, 2 * party : 2 * party + 2] for party in range(3)]
+    index = {"x": 0, "y": 1}
+    values = sum(
+        sign * means[0][:, index[la]] * means[1][:, index[lb]] * means[2][:, index[lc]]
+        for (la, lb, lc), sign in MERMIN_SIGNS.items()
+    )
+    return float(values.max())
+
+
 def mermin_lhv_bound() -> float:
     """Classical bound of the three-party combination by sign enumeration."""
-    best = -math.inf
-    for signs in itertools.product((-1.0, 1.0), repeat=6):
-        a, b, c = signs[0:2], signs[2:4], signs[4:6]
-        index = {"x": 0, "y": 1}
-        value = sum(
-            sign * a[index[la]] * b[index[lb]] * c[index[lc]]
-            for (la, lb, lc), sign in MERMIN_SIGNS.items()
-        )
-        best = max(best, value)
-    return best
+    return _mermin_vertex_max((1.0, 1.0, 1.0))
 
 
 def mermin_lpo_witness(
@@ -419,8 +385,7 @@ def mermin_lpo_witness(
     """Perceived three-party witness.
 
     ``asym_sup`` maximizes the correlator combination over per-party mean
-    boxes [-|r_J|, |r_J|]^2 by vertex enumeration (first lexicographic
-    maximum reported). ``sym_fixed`` evaluates the perceived combination
+    boxes [-|r_J|, |r_J|]^2 by vertex enumeration. ``sym_fixed`` evaluates the perceived combination
     sum(sign * a b c * C) at the given settings.
     """
     if rho.dims != (2, 2, 2):
@@ -428,26 +393,8 @@ def mermin_lpo_witness(
     norms = [float(np.linalg.norm(bloch_vector(rho.marginal(k)))) for k in range(3)]
 
     if mode == "asym_sup":
-        index = {"x": 0, "y": 1}
-        best_value = -math.inf
-        best_signs = None
-        for signs in itertools.product((-1.0, 1.0), repeat=6):
-            means = [
-                (norms[party] * signs[2 * party], norms[party] * signs[2 * party + 1])
-                for party in range(3)
-            ]
-            value = sum(
-                sign
-                * means[0][index[la]]
-                * means[1][index[lb]]
-                * means[2][index[lc]]
-                for (la, lb, lc), sign in MERMIN_SIGNS.items()
-            )
-            if value > best_value:
-                best_value = value
-                best_signs = signs
         return WitnessReport(
-            value=float(best_value),
+            value=_mermin_vertex_max(norms),
             optimizing_scenario=None,
             bounds=(("lhv", mermin_lhv_bound()),),
             restarts_used=0,

@@ -43,7 +43,6 @@ from lpow.states import (
     ghz,
     horodecki,
     ket,
-    make_state,
     maximally_mixed,
     pure_product,
     sigma_state,

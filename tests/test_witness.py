@@ -1,9 +1,11 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from lpow import (
+    BellFunctional,
     OptimizerConfig,
     WitnessReport,
     asym_sup,
@@ -23,7 +25,7 @@ from lpow import (
     sym_sup,
     sym_value_fixed,
 )
-from lpow.states import ghz, ket, make_state, maximally_mixed, pure_product, sigma_state, singlet, werner
+from lpow.states import ghz, ket, make_state, pure_product, sigma_state, singlet, werner
 from util import ginibre_state, random_orthogonal_scenario, random_product_state, random_scenario
 
 
@@ -33,8 +35,6 @@ class TestOptimizerConfig:
             OptimizerConfig(restarts=0)
         with pytest.raises(ValueError, match="max_iterations"):
             OptimizerConfig(max_iterations=0)
-        with pytest.raises(ValueError, match="tolerances"):
-            OptimizerConfig(step_tolerance=0.0)
         with pytest.raises(ValueError, match="tolerances"):
             OptimizerConfig(value_tolerance=-1.0)
 
@@ -111,6 +111,14 @@ class TestAsymWitness:
     def test_requires_two_qubits(self):
         with pytest.raises(ValueError, match="two-qubit"):
             asym_sup(ghz(), preset_functional("chsh"))
+
+    def test_oversized_functional_rejected_before_enumerating(self):
+        # 2^25 vertices would take minutes to scan; the guard fires first.
+        f = BellFunctional(alpha=np.ones((13, 12)), beta=np.zeros(13), gamma=np.zeros(12))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="too large"):
+            asym_sup(sigma_state(), f)
+        assert time.perf_counter() - start < 0.5
 
 
 class TestSymWitnessFixed:
@@ -248,14 +256,53 @@ class TestSymWitnessSup:
         assert report.converged
         assert report.value >= compass - 1e-12
 
+    # Orthogonal-mode values of the multi-start compass search over z-y-z
+    # frame rotations that the Jacobi sweep replaced, at restarts=8, seed=0.
+    COMPASS_ORTHOGONAL = (
+        ("chsh", ("sigma", {}), 0.20612660866355745),
+        ("chsh", ("transition", {"p": 0.1}), 0.007999999877133034),
+        ("chsh", ("transition", {"p": 0.5}), 0.07574838640323704),
+        ("chsh", ("transition", {"p": 0.9}), 0.6524999999525242),
+        ("chsh", ("cg", {"theta": 0.4, "lam": 0.8}), 0.2003611877394899),
+        ("chsh", ("classical", {"theta": 0.7, "beta": 0.3}), 0.9999999999969255),
+        ("chsh", ("ginibre", {"k": 0}), 0.10537417067780049),
+        ("chsh", ("ginibre", {"k": 1}), 0.09399940687892724),
+        ("chsh", ("ginibre", {"k": 2}), 0.02363177027674726),
+        ("chsh", ("ginibre", {"k": 3}), 0.11997460835362786),
+        ("c3322", ("sigma", {}), 0.6019199999880565),
+        ("c3322", ("transition", {"p": 0.1}), 0.017999999999325375),
+        ("c3322", ("transition", {"p": 0.5}), 0.26562145354932115),
+        ("c3322", ("transition", {"p": 0.9}), 1.4579999999816966),
+        ("c3322", ("cg", {"theta": 0.4, "lam": 0.8}), 0.7359959915582294),
+        ("c3322", ("classical", {"theta": 0.7, "beta": 0.3}), 1.9999999999812306),
+        ("c3322", ("ginibre", {"k": 0}), 0.25196432297660065),
+        ("c3322", ("ginibre", {"k": 1}), 0.32362053057749834),
+        ("c3322", ("ginibre", {"k": 2}), 0.07847019699432738),
+        ("c3322", ("ginibre", {"k": 3}), 0.1622281876171743),
+    )
+
+    @pytest.mark.parametrize("name, state, compass", COMPASS_ORTHOGONAL)
+    def test_orthogonal_never_below_compass_values(self, name, state, compass):
+        family, params = state
+        if family == "ginibre":
+            rho = ginibre_state(np.random.default_rng(params["k"]))
+        else:
+            rho = make_state(family, **params)
+        report = sym_sup(rho, preset_functional(name), "orthogonal", OptimizerConfig(restarts=8, seed=0))
+        assert report.converged
+        assert report.value >= compass - 1e-12
+
     def test_reported_scenario_achieves_value(self, rng):
         cfg = OptimizerConfig(restarts=16, seed=3)
-        for name in ("chsh", "c3322"):
-            f = preset_functional(name)
-            for _ in range(5):
-                rho = ginibre_state(rng)
-                report = sym_sup(rho, f, "free", cfg)
-                assert abs(sym_value_fixed(rho, f, report.optimizing_scenario) - report.value) < 1e-10
+        for constraint in ("free", "orthogonal"):
+            for name in ("chsh", "c3322"):
+                f = preset_functional(name)
+                for _ in range(5):
+                    rho = ginibre_state(rng)
+                    report = sym_sup(rho, f, constraint, cfg)
+                    scenario = report.optimizing_scenario
+                    assert scenario.orthogonal == (constraint == "orthogonal")
+                    assert abs(sym_value_fixed(rho, f, scenario) - report.value) < 1e-10
 
     def test_c3322_stays_under_geometry_free_cap(self, rng):
         f = preset_functional("c3322")
@@ -275,9 +322,10 @@ class TestSymWitnessSup:
     def test_same_seed_reproduces_bitwise(self):
         cfg = OptimizerConfig(restarts=8, seed=9)
         f = preset_functional("chsh")
-        a = sym_sup(sigma_state(), f, "free", cfg)
-        b = sym_sup(sigma_state(), f, "free", cfg)
-        assert a.value == b.value
+        for constraint in ("free", "orthogonal"):
+            a = sym_sup(sigma_state(), f, constraint, cfg)
+            b = sym_sup(sigma_state(), f, constraint, cfg)
+            assert a.value == b.value
 
 
 class TestMermin:

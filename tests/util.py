@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from lpow import DensityMatrix, scenario_from_directions
-from lpow.states import bloch_vector, correlation_matrix
+from lpow.states import first_moments
 
 
 def ginibre_state(rng: np.random.Generator, dims: tuple[int, ...] = (2, 2)) -> DensityMatrix:
@@ -99,13 +99,9 @@ def reference_seesaw(update_a, update_b, value, n: int, cfg):
     return a_dirs[best], b_dirs[best], float(values[best]), iterations, converged
 
 
-def _moments(rho: DensityMatrix):
-    return bloch_vector(rho.marginal(0)), bloch_vector(rho.marginal(1)), correlation_matrix(rho)
-
-
 def reference_functional_seesaw(rho: DensityMatrix, f, cfg):
     """Tr(rho B) see-saw with einsum gradient updates and a separate batch value."""
-    r_a, r_b, t = _moments(rho)
+    r_a, r_b, t = first_moments(rho)
 
     def update_a(b_dirs):
         grad = np.einsum("mn,rny->rmy", f.alpha, b_dirs @ t.T) + f.beta[:, None] * r_a[None, None, :]
@@ -129,7 +125,7 @@ def reference_functional_seesaw(rho: DensityMatrix, f, cfg):
 
 def reference_witness_seesaw(rho: DensityMatrix, f, cfg):
     """Free two-sided witness see-saw: eigenvector updates, value from the directions."""
-    r_a, r_b, t = _moments(rho)
+    r_a, r_b, t = first_moments(rho)
 
     def top_eigenvectors(r, w, q):
         rw = r[:, None] * w[..., None, :]
