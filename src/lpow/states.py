@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +29,8 @@ class DensityMatrix:
         total = math.prod(self.dims)
         if m.shape != (total, total):
             raise ValueError(f"matrix shape {m.shape} does not match dims {self.dims}")
+        if not np.isfinite(m).all():
+            raise ValueError("density matrix entries must be finite")
         if np.abs(m - dagger(m)).max() > HERMITICITY_TOL:
             raise ValueError("density matrix is not Hermitian")
         if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
@@ -44,6 +47,18 @@ class DensityMatrix:
         sub = partial_trace(self.matrix, self.dims, (party,))
         return DensityMatrix(sub, (self.dims[party],))
 
+    @cached_property
+    def _first_moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (r_A, r_B, T), built on first use; read it through ``first_moments``."""
+        moments = (
+            bloch_vector(self.marginal(0)),
+            bloch_vector(self.marginal(1)),
+            correlation_matrix(self),
+        )
+        for v in moments:
+            v.flags.writeable = False
+        return moments
+
 
 @dataclass(frozen=True)
 class QubitObservable:
@@ -56,6 +71,8 @@ class QubitObservable:
         object.__setattr__(self, "direction", d)
         if d.shape != (3,):
             raise ValueError("direction must be a 3-vector")
+        if not np.isfinite(d).all():
+            raise ValueError(f"direction must be finite, got {d}")
         if abs(np.linalg.norm(d) - 1.0) > 1e-12:
             raise ValueError("direction must be a unit vector")
 
@@ -68,6 +85,8 @@ class QubitObservable:
 def observable(vec) -> QubitObservable:
     """Observable along ``vec``, normalized first."""
     v = np.asarray(vec, dtype=float)
+    if not np.isfinite(v).all():
+        raise ValueError(f"observable vector must be finite, got {v}")
     n = np.linalg.norm(v)
     if n == 0:
         raise ValueError("cannot normalize the zero vector")
@@ -253,8 +272,14 @@ def correlation_matrix(rho: DensityMatrix) -> np.ndarray:
 
 
 def first_moments(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Marginal Bloch vectors r_A, r_B and correlation matrix T of a two-qubit state."""
-    return bloch_vector(rho.marginal(0)), bloch_vector(rho.marginal(1)), correlation_matrix(rho)
+    """Marginal Bloch vectors r_A, r_B and correlation matrix T of a two-qubit state.
+
+    Every two-qubit evaluator reads these three arrays. They are computed
+    once per state instance, cached on it, and returned read-only.
+    """
+    if rho.dims != (2, 2):
+        raise ValueError("first_moments needs a two-qubit state")
+    return rho._first_moments
 
 
 def horodecki(rho: DensityMatrix) -> HorodeckiResult:
@@ -263,7 +288,7 @@ def horodecki(rho: DensityMatrix) -> HorodeckiResult:
     The verdict is equivalent to the settings-optimized CHSH value
     2*sqrt(s1^2 + s2^2) staying at or below the classical bound 2.
     """
-    sv = singular_values(correlation_matrix(rho))
+    sv = singular_values(first_moments(rho)[2])
     s1, s2 = float(sv[0]), float(sv[1])
     m_value = math.hypot(s1, s2)
     return HorodeckiResult(s1=s1, s2=s2, m_value=m_value, admits_lhv=m_value <= 1.0 + 1e-10)

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import kron, singular_values
-from .lpo import lpo_project
 from .states import DensityMatrix, QubitObservable, bloch_vector, first_moments
 from .bell import (
     BellFunctional,
@@ -17,7 +16,6 @@ from .bell import (
     _gaussian_directions,
     _seesaw,
     _sign_vertices,
-    bell_operator_matrix,
     bilinear_value,
     lhv_bound,
     marginal_means,
@@ -25,7 +23,6 @@ from .bell import (
 )
 
 BOUND_SLACK = 1e-8
-DUAL_PATH_TOL = 1e-10
 DEGENERATE_NORM = 1e-12
 
 
@@ -55,15 +52,14 @@ class WitnessReport:
 
 
 def asym_value_fixed(rho: DensityMatrix, f: BellFunctional, s: MeasurementScenario) -> float:
-    """One-sided witness integrand Tr[(rho_A x rho_B) B(s)] at fixed settings."""
-    rho_prod = kron(rho.marginal(0).matrix, rho.marginal(1).matrix)
-    operator = bell_operator_matrix(f, s)
-    value = float(np.trace(rho_prod @ operator).real)
+    """One-sided witness Tr[(rho_A x rho_B) B(s)] at fixed settings.
+
+    On the product of the marginals every correlator factorizes, so the
+    witness is the bilinear form F(a, b) of the means a = D_A r_A and
+    b = D_B r_B.
+    """
     means = marginal_means(rho, s)
-    bilinear = bilinear_value(f, means.a, means.b)
-    if abs(value - bilinear) > 1e-12:
-        raise ArithmeticError("operator and bilinear evaluations disagree")
-    return value
+    return bilinear_value(f, means.a, means.b)
 
 
 def asym_sup(rho: DensityMatrix, f: BellFunctional) -> WitnessReport:
@@ -107,42 +103,17 @@ def asym_sup(rho: DensityMatrix, f: BellFunctional) -> WitnessReport:
 def sym_value_fixed(rho: DensityMatrix, f: BellFunctional, s: MeasurementScenario) -> float:
     """Two-sided witness at fixed settings.
 
-    Quadratic form sum(alpha a b C) + sum(beta a^2) + sum(gamma b^2),
-    cross-checked term by term against the explicit perceived-operator
-    products Tr[rho (T)^A x (T)^B].
+    Each perceived product Tr[rho (X)^A x (X)^B] of a term X of the Bell
+    operator is its correlator weighted by the two means, so the witness is
+    the quadratic form sum(alpha a b C) + sum(beta a^2) + sum(gamma b^2) of
+    the first-moment tables a, b and C.
     """
     means = marginal_means(rho, s)
-    m, n = f.shape
-    value = float(
+    return float(
         np.einsum("xy,x,y,xy->", f.alpha, means.a, means.b, means.c)
         + f.beta @ means.a**2
         + f.gamma @ means.b**2
     )
-
-    i2 = np.eye(2)
-    explicit = 0.0
-    for x in range(m):
-        for y in range(n):
-            if f.alpha[x, y] == 0.0:
-                continue
-            explicit += f.alpha[x, y] * _perceived_product(
-                kron(s.alice[x].matrix, s.bob[y].matrix), rho
-            )
-    for x in range(m):
-        if f.beta[x] != 0.0:
-            explicit += f.beta[x] * _perceived_product(kron(s.alice[x].matrix, i2), rho)
-    for y in range(n):
-        if f.gamma[y] != 0.0:
-            explicit += f.gamma[y] * _perceived_product(kron(i2, s.bob[y].matrix), rho)
-    if abs(value - explicit) > DUAL_PATH_TOL:
-        raise ArithmeticError("quadratic-form and operator evaluations disagree")
-    return value
-
-
-def _perceived_product(x: np.ndarray, rho: DensityMatrix) -> float:
-    xa = lpo_project(x, rho, 0).matrix
-    xb = lpo_project(x, rho, 1).matrix
-    return float(np.trace(rho.matrix @ kron(xa, xb)).real)
 
 
 def _positive_part(v: np.ndarray) -> np.ndarray:
@@ -339,6 +310,18 @@ def _mermin_correlator(rho: DensityMatrix, obs: tuple[QubitObservable, ...]) -> 
     return float(np.trace(rho.matrix @ op).real)
 
 
+def _mermin_terms(settings) -> list[tuple[tuple[QubitObservable, ...], float]]:
+    """(per-party observables, sign) of each term, from the default or given setting pairs."""
+    settings = settings or mermin_settings()
+    if len(settings) != 3 or any(len(pair) != 2 for pair in settings):
+        raise ValueError("need one (x-like, y-like) setting pair per party")
+    index = {"x": 0, "y": 1}
+    return [
+        (tuple(settings[party][index[lab]] for party, lab in enumerate(labels)), sign)
+        for labels, sign in MERMIN_SIGNS.items()
+    ]
+
+
 def mermin_value(
     rho: DensityMatrix,
     settings: tuple[tuple[QubitObservable, QubitObservable], ...] | None = None,
@@ -346,13 +329,8 @@ def mermin_value(
     """Three-party correlator combination xxx - xyy - yxy - yyx (classical bound 2)."""
     if rho.dims != (2, 2, 2):
         raise ValueError("mermin_value needs a three-qubit state")
-    settings = settings or mermin_settings()
-    if len(settings) != 3 or any(len(pair) != 2 for pair in settings):
-        raise ValueError("need one (x-like, y-like) setting pair per party")
-    index = {"x": 0, "y": 1}
     total = 0.0
-    for labels, sign in MERMIN_SIGNS.items():
-        obs = tuple(settings[party][index[lab]] for party, lab in enumerate(labels))
+    for obs, sign in _mermin_terms(settings):
         total += sign * _mermin_correlator(rho, obs)
     return total
 
@@ -390,7 +368,8 @@ def mermin_lpo_witness(
     """
     if rho.dims != (2, 2, 2):
         raise ValueError("mermin_lpo_witness needs a three-qubit state")
-    norms = [float(np.linalg.norm(bloch_vector(rho.marginal(k)))) for k in range(3)]
+    r_vecs = [bloch_vector(rho.marginal(k)) for k in range(3)]
+    norms = [float(np.linalg.norm(r)) for r in r_vecs]
 
     if mode == "asym_sup":
         return WitnessReport(
@@ -402,12 +381,8 @@ def mermin_lpo_witness(
         )
 
     if mode == "sym_fixed":
-        settings = settings or mermin_settings()
-        index = {"x": 0, "y": 1}
-        r_vecs = [bloch_vector(rho.marginal(k)) for k in range(3)]
         total = 0.0
-        for labels, sign in MERMIN_SIGNS.items():
-            obs = tuple(settings[party][index[lab]] for party, lab in enumerate(labels))
+        for obs, sign in _mermin_terms(settings):
             means = [float(r_vecs[k] @ obs[k].direction) for k in range(3)]
             corr = _mermin_correlator(rho, obs)
             total += sign * means[0] * means[1] * means[2] * corr

@@ -51,7 +51,10 @@ from lpow.states import (
 )
 from lpow.sweeps import SweepSpec, read_csv, run_sweep
 from util import (
+    assert_means_match_traces,
+    explicit_lpo_correlator,
     ginibre_state,
+    perceived_sym_value,
     random_effect,
     random_orthogonal_scenario,
     random_product_state,
@@ -192,6 +195,8 @@ def test_random_state_and_setting_property_suite():
         rho = ginibre_state(rng)
         s = random_scenario(rng, 2, 2)
         assert sym_value_fixed(rho, chsh, s) <= bound_geometry_free(rho, chsh) + 1e-9
+        assert abs(sym_value_fixed(rho, chsh, s) - perceived_sym_value(rho, chsh, s)) <= 1e-10
+        assert_means_match_traces(rho, s)
         assert abs(
             i2222_probability_value(rho, s) - (functional_value(rho, chsh, s) / 4.0 - 0.5)
         ) < 1e-12
@@ -199,6 +204,8 @@ def test_random_state_and_setting_property_suite():
         rho = ginibre_state(rng)
         s = random_scenario(rng, 3, 3)
         assert sym_value_fixed(rho, c3322, s) <= bound_geometry_free(rho, c3322) + 1e-9
+        assert abs(sym_value_fixed(rho, c3322, s) - perceived_sym_value(rho, c3322, s)) <= 1e-10
+        assert_means_match_traces(rho, s)
         assert abs(
             c3322_value(rho, s) - 4.0 * (i3322_probability_value(rho, s) + 1.0)
         ) < 1e-10
@@ -208,19 +215,27 @@ def test_random_state_and_setting_property_suite():
         rho = ginibre_state(rng)
         s = random_orthogonal_scenario(rng, 2, 2)
         assert sym_value_fixed(rho, chsh, s) <= bound_orthogonal(rho, chsh) + 1e-9
+        assert abs(sym_value_fixed(rho, chsh, s) - perceived_sym_value(rho, chsh, s)) <= 1e-10
+        assert_means_match_traces(rho, s)
     for _ in range(1250):
         rho = ginibre_state(rng)
         s = random_orthogonal_scenario(rng, 3, 3)
         assert sym_value_fixed(rho, c3322, s) <= bound_orthogonal(rho, c3322) + 1e-9
+        assert abs(sym_value_fixed(rho, c3322, s) - perceived_sym_value(rho, c3322, s)) <= 1e-10
+        assert_means_match_traces(rho, s)
 
-    # Per-direction structural identities: the perceived correlator's two
-    # computation paths agree (checked internally), perceived POVM pairs
+    # Per-direction structural identities: the perceived correlator's
+    # first-moment form matches the explicit product, perceived POVM pairs
     # stay POVMs, and both parties infer the same product expectation.
     eye = np.eye(4)
     for _ in range(2500):
         rho = ginibre_state(rng)
         s = random_scenario(rng, 1, 1)
         lpo_correlator(s.alice[0], s.bob[0], rho)
+        assert abs(
+            lpo_correlator(s.alice[0], s.bob[0], rho)
+            - explicit_lpo_correlator(s.alice[0], s.bob[0], rho)
+        ) <= 1e-10
 
         e = random_effect(rng, 4)
         pe = lpo_project(e, rho, 0).matrix

@@ -27,7 +27,7 @@ from lpow import (
 )
 from lpow import QubitObservable
 from lpow.states import ghz, make_state, sigma_state, singlet, transition, werner
-from util import ginibre_state, random_directions, random_scenario
+from util import assert_means_match_traces, ginibre_state, random_directions, random_scenario
 
 
 class TestBellFunctional:
@@ -85,6 +85,10 @@ class TestScenarios:
         # Everything stays in the x-z plane.
         assert np.allclose(a[:, 1], 0.0)
         assert np.allclose(b[:, 1], 0.0)
+
+    def test_non_finite_direction_rejected(self):
+        with pytest.raises(ValueError, match="direction must be finite"):
+            scenario_from_directions([[np.nan, 0.0, 0.0]], [[0.0, 0.0, 1.0]])
 
 
 class TestValues:
@@ -184,6 +188,7 @@ class TestJointProbabilities:
         rho = ginibre_state(rng)
         s = random_scenario(rng, 1, 1)
         means = marginal_means(rho, s)
+        assert_means_match_traces(rho, s)
         probs = [
             cond_joint_prob(a, b, means.a[0], means.b[0], means.c[0, 0])
             for a in (0, 1)

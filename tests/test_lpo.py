@@ -9,7 +9,7 @@ from lpow import (
 )
 from lpow.linalg import PAULIS, SIGMA_X, SIGMA_Z, kron
 from lpow.states import ghz, ket, pure_product, sigma_state, singlet, werner
-from util import ginibre_state, random_directions, random_effect
+from util import explicit_lpo_correlator, ginibre_state, random_directions, random_effect
 
 
 def random_hermitian(rng, d):
@@ -119,6 +119,7 @@ class TestLpoCorrelator:
             )
             want = (r_a @ da) * (r_b @ db) * (da @ t @ db)
             assert abs(lpo_correlator(ax, by, rho) - want) < 1e-12
+            assert abs(lpo_correlator(ax, by, rho) - explicit_lpo_correlator(ax, by, rho)) <= 1e-10
 
     def test_vanishes_on_locally_maximally_mixed_states(self, rng):
         z = observable([0.0, 0.0, 1.0])

@@ -3,21 +3,27 @@ import math
 import numpy as np
 import pytest
 
+import lpow.states
 from lpow import (
     DensityMatrix,
+    OptimizerConfig,
     QubitObservable,
     bloch_vector,
     cg_lambda,
+    compute_quantities,
     correlation_matrix,
     horodecki,
     make_state,
     observable,
     optimized_chsh,
+    preset_functional,
+    sym_sup,
 )
 from lpow.states import (
     _cg_chsh_gap,
     cg,
     classical,
+    first_moments,
     ghz,
     ket,
     maximally_mixed,
@@ -46,6 +52,10 @@ class TestDensityMatrixValidation:
         m = np.diag([0.6, 0.5, 0.0, -0.1]).astype(complex)
         with pytest.raises(ValueError, match="negative"):
             DensityMatrix(m)
+
+    def test_rejects_non_finite_entries(self):
+        with pytest.raises(ValueError, match="finite"):
+            DensityMatrix(np.full((4, 4), np.nan))
 
     def test_rejects_shape_dims_mismatch(self):
         with pytest.raises(ValueError, match="does not match dims"):
@@ -76,6 +86,15 @@ class TestObservables:
         o = observable([0.0, 0.0, 2.5])
         assert np.allclose(o.direction, [0.0, 0.0, 1.0])
         assert np.allclose(o.matrix, np.diag([1.0, -1.0]))
+
+    def test_direction_must_be_finite(self):
+        with pytest.raises(ValueError, match="direction must be finite"):
+            QubitObservable(np.array([np.nan, 0.0, 0.0]))
+
+    def test_observable_rejects_non_finite(self):
+        for bad in ([np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0]):
+            with pytest.raises(ValueError, match="observable vector must be finite"):
+                observable(bad)
 
     def test_observable_rejects_zero(self):
         with pytest.raises(ValueError, match="zero"):
@@ -213,6 +232,48 @@ class TestBlochLevel:
         for _ in range(20):
             t = correlation_matrix(ginibre_state(rng))
             assert np.abs(t).max() <= 1.0 + 1e-12
+
+
+class TestFirstMoments:
+    def test_built_once_per_state(self, rng, monkeypatch):
+        calls = []
+        original = lpow.states.correlation_matrix
+
+        def counted(rho):
+            calls.append(rho)
+            return original(rho)
+
+        monkeypatch.setattr(lpow.states, "correlation_matrix", counted)
+        rho = ginibre_state(rng)
+        cfg = OptimizerConfig(restarts=8, seed=0)
+        two_qubit = [
+            "s_chsh",
+            "s_chsh_lpo",
+            "i3322_tilde",
+            "c3322",
+            "i2222_tilde",
+            "i2222_lpo_tilde",
+            "horodecki_m",
+            "bloch_norm_a",
+            "bloch_norm_b",
+        ]
+        compute_quantities(two_qubit, rho, cfg)
+        report = sym_sup(rho, preset_functional("c3322"), "orthogonal", cfg)
+        assert [name for name, _ in report.bounds] == ["geometry_free", "orthogonal"]
+        assert len(calls) == 1
+
+    def test_cached_arrays_are_read_only(self, rng):
+        rho = ginibre_state(rng)
+        r_a, r_b, t = first_moments(rho)
+        assert all(x is y for x, y in zip(first_moments(rho), (r_a, r_b, t)))
+        for array in (r_a, r_b, t):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        assert np.array_equal(t, correlation_matrix(rho))
+
+    def test_requires_two_qubits(self):
+        with pytest.raises(ValueError, match="two-qubit"):
+            first_moments(ghz())
 
 
 class TestHorodecki:

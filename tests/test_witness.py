@@ -26,7 +26,14 @@ from lpow import (
     sym_value_fixed,
 )
 from lpow.states import ghz, ket, make_state, pure_product, sigma_state, singlet, werner
-from util import ginibre_state, random_orthogonal_scenario, random_product_state, random_scenario
+from util import (
+    ginibre_state,
+    operator_asym_value,
+    perceived_sym_value,
+    random_orthogonal_scenario,
+    random_product_state,
+    random_scenario,
+)
 
 
 class TestOptimizerConfig:
@@ -37,6 +44,11 @@ class TestOptimizerConfig:
             OptimizerConfig(max_iterations=0)
         with pytest.raises(ValueError, match="tolerances"):
             OptimizerConfig(value_tolerance=-1.0)
+
+    def test_rejects_non_finite_tolerance(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="value_tolerance"):
+                OptimizerConfig(value_tolerance=bad)
 
 
 class TestWitnessReport:
@@ -100,6 +112,17 @@ class TestAsymWitness:
                 s = random_scenario(rng, 2, 2)
                 assert asym_value_fixed(rho, f, s) <= sup + 1e-10
 
+    def test_fixed_value_matches_operator_trace(self, rng):
+        skew = BellFunctional(
+            alpha=[[1.0, -2.0, 0.5], [0.0, 1.5, -1.0]], beta=[0.7, -1.3], gamma=[-0.4, 0.9, 1.1]
+        )
+        for f in (preset_functional("chsh"), preset_functional("c3322"), skew):
+            m, n = f.shape
+            for _ in range(20):
+                rho = ginibre_state(rng)
+                s = random_scenario(rng, m, n)
+                assert abs(asym_value_fixed(rho, f, s) - operator_asym_value(rho, f, s)) <= 1e-12
+
     def test_degenerate_tie_breaks_to_first_sign_vertex(self):
         report = asym_sup(werner(0.5), preset_functional("chsh"))
         assert report.value == 0.0
@@ -152,6 +175,7 @@ class TestSymWitnessFixed:
             )
             want += f.beta @ means.a**2 + f.gamma @ means.b**2
             assert abs(sym_value_fixed(rho, f, s) - want) < 1e-10
+            assert abs(sym_value_fixed(rho, f, s) - perceived_sym_value(rho, f, s)) <= 1e-10
 
 
 class TestBounds:
@@ -350,6 +374,10 @@ class TestMermin:
         assert len(s) == 3
         with pytest.raises(ValueError, match="setting pair"):
             mermin_value(ghz(), settings=s[:2])
+
+    def test_lpo_witness_settings_shape_validated(self):
+        with pytest.raises(ValueError, match="setting pair"):
+            mermin_lpo_witness(ghz(), "sym_fixed", settings=mermin_settings()[:2])
 
     def test_lpo_witness_vanishes_on_ghz(self):
         assert mermin_lpo_witness(ghz(), "asym_sup").value == 0.0

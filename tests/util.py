@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from lpow import DensityMatrix, scenario_from_directions
+from lpow import DensityMatrix, bell_operator_matrix, lpo_project, marginal_means, scenario_from_directions
+from lpow.linalg import kron
 from lpow.states import first_moments
 
 
@@ -151,3 +152,71 @@ def reference_witness_seesaw(rho: DensityMatrix, f, cfg):
         )
 
     return reference_seesaw(update_a, update_b, value_from_dirs, f.shape[1], cfg)
+
+
+# Explicit oracles: the trace and perceived-operator evaluations that the
+# first-moment formulas of marginal_means, asym_value_fixed, sym_value_fixed
+# and lpo_correlator must reproduce. They work on 2x2 and 4x4 matrices and
+# draw no random numbers.
+
+
+def trace_means(rho: DensityMatrix, s):
+    """Tables a_x = Tr(rho_A A_x), b_y = Tr(rho_B B_y), C_xy = Tr[rho (A_x x B_y)]."""
+    rho_a = rho.marginal(0).matrix
+    rho_b = rho.marginal(1).matrix
+    a = np.array([np.trace(rho_a @ o.matrix).real for o in s.alice])
+    b = np.array([np.trace(rho_b @ o.matrix).real for o in s.bob])
+    c = np.array(
+        [
+            [np.trace(rho.matrix @ kron(ax.matrix, by.matrix)).real for by in s.bob]
+            for ax in s.alice
+        ]
+    )
+    return a, b, c
+
+
+def assert_means_match_traces(rho: DensityMatrix, s, tol: float = 1e-12) -> None:
+    means = marginal_means(rho, s)
+    a, b, c = trace_means(rho, s)
+    assert np.abs(means.a - a).max() <= tol
+    assert np.abs(means.b - b).max() <= tol
+    assert np.abs(means.c - c).max() <= tol
+
+
+def operator_asym_value(rho: DensityMatrix, f, s) -> float:
+    """Tr[(rho_A x rho_B) B(s)] with the assembled 4x4 Bell operator."""
+    rho_prod = kron(rho.marginal(0).matrix, rho.marginal(1).matrix)
+    return float(np.trace(rho_prod @ bell_operator_matrix(f, s)).real)
+
+
+def perceived_product(x: np.ndarray, rho: DensityMatrix) -> float:
+    """Tr[rho (X)^A x (X)^B] with both perceived operators projected explicitly."""
+    xa = lpo_project(x, rho, 0).matrix
+    xb = lpo_project(x, rho, 1).matrix
+    return float(np.trace(rho.matrix @ kron(xa, xb)).real)
+
+
+def perceived_sym_value(rho: DensityMatrix, f, s) -> float:
+    """Two-sided witness as the coefficient-weighted sum of perceived products."""
+    m, n = f.shape
+    i2 = np.eye(2)
+    explicit = 0.0
+    for x in range(m):
+        for y in range(n):
+            if f.alpha[x, y] == 0.0:
+                continue
+            explicit += f.alpha[x, y] * perceived_product(
+                kron(s.alice[x].matrix, s.bob[y].matrix), rho
+            )
+    for x in range(m):
+        if f.beta[x] != 0.0:
+            explicit += f.beta[x] * perceived_product(kron(s.alice[x].matrix, i2), rho)
+    for y in range(n):
+        if f.gamma[y] != 0.0:
+            explicit += f.gamma[y] * perceived_product(kron(i2, s.bob[y].matrix), rho)
+    return explicit
+
+
+def explicit_lpo_correlator(ax, by, rho: DensityMatrix) -> float:
+    """Perceived correlator as the explicit product of the projected ax x by."""
+    return perceived_product(kron(ax.matrix, by.matrix), rho)
