@@ -199,15 +199,23 @@ def _sign_vertices(k: int) -> np.ndarray:
     return 2.0 * bits - 1.0
 
 
-def lhv_bound(f: BellFunctional) -> float:
-    """Exact deterministic bound: max of F over all sign assignments.
+def _vertex_max(alpha, beta, gamma) -> tuple[float, np.ndarray, np.ndarray]:
+    """Max of a^T alpha b + beta.a + gamma.b over sign vectors, with its (a, b).
 
-    The b-side vertices are enumerated; for each, the optimal a is the
-    coordinate-wise sign choice, so the scan is exact at 2^n cost.
+    For each of the 2^m rows a the best b is the sign of grad = a alpha + gamma,
+    worth |grad|_1. Ties break to the first (a, b) in lexicographic sign order:
+    argmax takes the first a, and a zero gradient entry takes b = -1.
     """
-    signs = _sign_vertices(f.shape[1])
-    values = np.abs(signs @ f.alpha.T + f.beta).sum(axis=1) + signs @ f.gamma
-    return float(values.max())
+    signs = _sign_vertices(alpha.shape[0])
+    grad = signs @ alpha + gamma
+    values = np.abs(grad).sum(axis=1) + signs @ beta
+    best = int(np.argmax(values))
+    return float(values[best]), signs[best], np.where(grad[best] > 0, 1.0, -1.0)
+
+
+def lhv_bound(f: BellFunctional) -> float:
+    """Exact deterministic bound: max of F over all sign vertices, scanning Bob's 2^n."""
+    return _vertex_max(f.alpha.T, f.gamma, f.beta)[0]
 
 
 def cond_joint_prob(a_out: int, b_out: int, c_ai: float, c_ib: float, c_ab: float) -> float:
@@ -302,10 +310,10 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        for name, low in (("restarts", 1), ("max_iterations", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if not 0.0 < self.value_tolerance < math.inf:
             raise ValueError(
                 f"tolerances must be positive and finite, got value_tolerance={self.value_tolerance!r}"

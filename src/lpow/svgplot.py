@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import html
 import math
 from pathlib import Path
 
@@ -38,8 +39,9 @@ def render_line_chart(
 
     ``bounds`` adds one horizontal reference rule per value. Non-finite
     samples are dropped from their series so each column still renders as a
-    single polyline.
+    single polyline. Text is XML-escaped.
     """
+    title, xlabel, ylabel = html.escape(title), html.escape(xlabel), html.escape(ylabel)
     x = np.asarray(x, dtype=float)
     finite_y = [
         v
@@ -128,6 +130,7 @@ def render_line_chart(
     legend_y = MARGIN_TOP + 14
     for idx, (name, vals) in enumerate(series.items()):
         color = PALETTE[idx % len(PALETTE)]
+        name = html.escape(name)
         vals = np.asarray(vals, dtype=float)
         keep = np.isfinite(vals) & np.isfinite(x)
         points = " ".join(

@@ -131,13 +131,18 @@ def write_csv(result: SweepResult, path: str | Path) -> None:
 
 
 def read_csv(path: str | Path) -> tuple[list[str], dict[str, np.ndarray]]:
-    """Read a sweep CSV back into named float columns."""
+    """Read a sweep CSV back into named float columns; a malformed file raises ValueError."""
     text = Path(path).read_text(encoding="ascii")
-    lines = [ln for ln in text.split("\n") if ln]
-    header = lines[0].split(",")
+    lines = [(number, ln) for number, ln in enumerate(text.split("\n"), 1) if ln]
+    if len(lines) < 2:
+        raise ValueError(f"{path}: {'no data rows' if lines else 'empty file'}")
+    header = lines[0][1].split(",")
     columns: dict[str, list[float]] = {name: [] for name in header}
-    for line in lines[1:]:
-        for name, cell in zip(header, line.split(",")):
+    for number, line in lines[1:]:
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise ValueError(f"{path}, line {number}: {len(cells)} cells, header has {len(header)}")
+        for name, cell in zip(header, cells):
             columns[name].append(float(cell))
     return header, {name: np.array(vals) for name, vals in columns.items()}
 

@@ -16,6 +16,7 @@ from .bell import (
     _gaussian_directions,
     _seesaw,
     _sign_vertices,
+    _vertex_max,
     bilinear_value,
     lhv_bound,
     marginal_means,
@@ -65,35 +66,23 @@ def asym_value_fixed(rho: DensityMatrix, f: BellFunctional, s: MeasurementScenar
 def asym_sup(rho: DensityMatrix, f: BellFunctional) -> WitnessReport:
     """Supremum of the one-sided witness over all free settings.
 
-    Each mean ranges independently over [-|r|, |r|], so the maximum of the
-    bilinear form sits at a vertex of the scaled hypercube; all 2^(m+n)
-    vertices are scored at once and ties break to the first maximum in
-    lexicographic sign order.
+    Each mean ranges independently over [-|r|, |r|], so the witness is the
+    classical maximum of the marginal-scaled functional (|r_A||r_B| alpha,
+    |r_A| beta, |r_B| gamma): one exact 2^m vertex-kernel scan, refused above
+    20 Alice settings, with ties to the first vertex in lexicographic sign
+    order. The directions are the signs times the unit marginals (or +z).
     """
     if rho.dims != (2, 2):
         raise ValueError("asym_sup needs a two-qubit state")
-    m, n = f.shape
-    signs = _sign_vertices(m + n)
     r_a, r_b, _ = first_moments(rho)
     norm_a = float(np.linalg.norm(r_a))
     norm_b = float(np.linalg.norm(r_b))
-    a = norm_a * signs[:, None, :m]
-    b = norm_b * signs[:, m:, None]
-    # Row and column stacks multiply in bilinear_value's order, so each
-    # vertex scores exactly as bilinear_value would score it.
-    values = (a @ f.alpha @ b)[:, 0, 0] + (a @ f.beta)[:, 0] + (f.gamma @ b)[:, 0]
-    best = int(np.argmax(values))
-    best_value = values[best]
-    best_signs = signs[best]
+    value, a, b = _vertex_max(norm_a * norm_b * f.alpha, norm_a * f.beta, norm_b * f.gamma)
     unit_a = r_a / norm_a if norm_a > DEGENERATE_NORM else _Z
     unit_b = r_b / norm_b if norm_b > DEGENERATE_NORM else _Z
-    scenario = scenario_from_directions(
-        [s * unit_a for s in best_signs[:m]],
-        [s * unit_b for s in best_signs[m:]],
-    )
     return WitnessReport(
-        value=float(best_value),
-        optimizing_scenario=scenario,
+        value=value,
+        optimizing_scenario=scenario_from_directions(np.outer(a, unit_a), np.outer(b, unit_b)),
         bounds=(("lhv", lhv_bound(f)),),
         restarts_used=0,
         converged=True,
@@ -315,9 +304,8 @@ def _mermin_terms(settings) -> list[tuple[tuple[QubitObservable, ...], float]]:
     settings = settings or mermin_settings()
     if len(settings) != 3 or any(len(pair) != 2 for pair in settings):
         raise ValueError("need one (x-like, y-like) setting pair per party")
-    index = {"x": 0, "y": 1}
     return [
-        (tuple(settings[party][index[lab]] for party, lab in enumerate(labels)), sign)
+        (tuple(settings[party]["xy".index(lab)] for party, lab in enumerate(labels)), sign)
         for labels, sign in MERMIN_SIGNS.items()
     ]
 
@@ -335,24 +323,16 @@ def mermin_value(
     return total
 
 
-def _mermin_vertex_max(norms) -> float:
-    """Max of the Mermin combination over per-party mean boxes [-|r_J|, |r_J|]^2.
-
-    The combination is multilinear, so the maximum sits at a sign vertex.
-    """
-    signs = _sign_vertices(6)
-    means = [norms[party] * signs[:, 2 * party : 2 * party + 2] for party in range(3)]
-    index = {"x": 0, "y": 1}
-    values = sum(
-        sign * means[0][:, index[la]] * means[1][:, index[lb]] * means[2][:, index[lc]]
-        for (la, lb, lc), sign in MERMIN_SIGNS.items()
-    )
-    return float(values.max())
-
-
 def mermin_lhv_bound() -> float:
-    """Classical bound of the three-party combination by sign enumeration."""
-    return _mermin_vertex_max((1.0, 1.0, 1.0))
+    """Classical bound of the three-party combination by sign enumeration.
+
+    For each of party C's four sign vertices c, the vertex kernel maximizes
+    the A-B bilinear form whose alpha is the sign tensor contracted with c.
+    """
+    form = np.zeros((2, 2, 2))
+    for labels, sign in MERMIN_SIGNS.items():
+        form[tuple("xy".index(label) for label in labels)] = sign
+    return max(_vertex_max(form @ c, np.zeros(2), np.zeros(2))[0] for c in _sign_vertices(2))
 
 
 def mermin_lpo_witness(
@@ -362,9 +342,9 @@ def mermin_lpo_witness(
 ) -> WitnessReport:
     """Perceived three-party witness.
 
-    ``asym_sup`` maximizes the correlator combination over per-party mean
-    boxes [-|r_J|, |r_J|]^2 by vertex enumeration. ``sym_fixed`` evaluates the perceived combination
-    sum(sign * a b c * C) at the given settings.
+    ``asym_sup`` maximizes the multilinear combination over per-party mean boxes
+    [-|r_J|, |r_J|]^2, which is |r_A||r_B||r_C| times ``mermin_lhv_bound()``.
+    ``sym_fixed`` evaluates sum(sign * a b c * C) at the given settings.
     """
     if rho.dims != (2, 2, 2):
         raise ValueError("mermin_lpo_witness needs a three-qubit state")
@@ -372,10 +352,11 @@ def mermin_lpo_witness(
     norms = [float(np.linalg.norm(r)) for r in r_vecs]
 
     if mode == "asym_sup":
+        lhv = mermin_lhv_bound()
         return WitnessReport(
-            value=_mermin_vertex_max(norms),
+            value=norms[0] * norms[1] * norms[2] * lhv,
             optimizing_scenario=None,
-            bounds=(("lhv", mermin_lhv_bound()),),
+            bounds=(("lhv", lhv),),
             restarts_used=0,
             converged=True,
         )

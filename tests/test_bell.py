@@ -27,7 +27,14 @@ from lpow import (
 )
 from lpow import QubitObservable
 from lpow.states import ghz, make_state, sigma_state, singlet, transition, werner
-from util import assert_means_match_traces, ginibre_state, random_directions, random_scenario
+from lpow.bell import _vertex_max
+from util import (
+    assert_means_match_traces,
+    ginibre_state,
+    random_directions,
+    random_scenario,
+    reference_lhv_bound,
+)
 
 
 class TestBellFunctional:
@@ -163,6 +170,39 @@ class TestLhvBound:
         )
         with pytest.raises(ValueError, match="too large"):
             lhv_bound(f)
+
+    def test_bit_identical_to_reference_scan(self, rng):
+        functionals = [preset_functional("chsh"), preset_functional("c3322")]
+        for _ in range(300):
+            m, n = rng.integers(1, 6, size=2)
+            functionals.append(
+                BellFunctional(
+                    alpha=rng.normal(size=(m, n)), beta=rng.normal(size=m), gamma=rng.normal(size=n)
+                )
+            )
+        for f in functionals:
+            assert lhv_bound(f).hex() == reference_lhv_bound(f).hex()
+
+
+class TestVertexKernel:
+    def test_first_lexicographic_maximizer_on_integer_functionals(self, rng):
+        # Small integer coefficients make every vertex value exact, so ties
+        # are real and the kernel must return the first maximizing (a, b) of
+        # the lexicographic scan over all 2^(m+n) sign vertices.
+        ties = 0
+        for _ in range(200):
+            m, n = (int(k) for k in rng.integers(1, 5, size=2))
+            alpha = rng.integers(-1, 2, size=(m, n)).astype(float)
+            beta = rng.integers(-1, 2, size=m).astype(float)
+            gamma = rng.integers(-1, 2, size=n).astype(float)
+            vertices = [np.array(v) for v in itertools.product((-1.0, 1.0), repeat=m + n)]
+            scores = [v[:m] @ alpha @ v[m:] + beta @ v[:m] + gamma @ v[m:] for v in vertices]
+            best = int(np.argmax(scores))
+            ties += scores.count(scores[best]) > 1
+            value, a, b = _vertex_max(alpha, beta, gamma)
+            assert value == scores[best]
+            assert np.array_equal(np.concatenate([a, b]), vertices[best])
+        assert ties > 100
 
 
 class TestJointProbabilities:

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -82,6 +83,10 @@ class TestReport:
         assert proc.returncode == 2
         assert "'p' given more than once" in proc.stderr
         assert proc.stdout == ""
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        assert main(["report", "--state", "singlet", "--quantities", "s_chsh", "--seed", "-1"]) == 2
+        assert "seed must be an integer >= 0" in capsys.readouterr().err
 
     def test_non_finite_state_parameter_is_named(self):
         proc = run_cli(
@@ -208,6 +213,14 @@ out = {tmp_path / 'b.csv'}
         )
         assert proc.returncode == 2
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        args = ["--param", "p", "--grid", "0:1:2", "--quantities", "horodecki_m"]
+        code = main(["sweep", "--state", "werner", *args, "--seed", "-1", "--out", str(out)])
+        assert code == 2
+        assert "seed must be an integer >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nan_warnings_on_stderr_with_success_exit(self, tmp_path):
         out = tmp_path / "m.csv"
         proc = run_cli(
@@ -272,6 +285,30 @@ class TestPlot:
     def test_missing_out_flag_is_usage_error(self, csv):
         proc = run_cli("plot", str(csv))
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("", "empty file"), ("param,a\n", "no data rows"), ("param,a\n0,1\n\n1\n", "line 4")],
+    )
+    def test_malformed_csv_is_usage_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        svg = tmp_path / "bad.svg"
+        assert main(["plot", str(path), "--out", str(svg)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and message in err
+        assert not svg.exists()
+
+    def test_svg_text_is_escaped(self, tmp_path):
+        path = tmp_path / "r&d.csv"
+        path.write_text('t&x,a<b "q"\n0,1\n1,2\n')
+        svg = tmp_path / "r.svg"
+        assert main(["plot", str(path), "--out", str(svg)]) == 0
+        root = ET.parse(svg).getroot()
+        texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert {"r&d", "t&x", 'a<b "q"'} <= set(texts)
+        names = [p.get("data-name") for p in root.iter("{http://www.w3.org/2000/svg}polyline")]
+        assert names == ['a<b "q"']
 
 
 class TestEntryPoints:

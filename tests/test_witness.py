@@ -25,7 +25,7 @@ from lpow import (
     sym_sup,
     sym_value_fixed,
 )
-from lpow.states import ghz, ket, make_state, pure_product, sigma_state, singlet, werner
+from lpow.states import bloch_vector, ghz, ket, make_state, pure_product, sigma_state, singlet, werner
 from util import (
     ginibre_state,
     operator_asym_value,
@@ -33,6 +33,8 @@ from util import (
     random_orthogonal_scenario,
     random_product_state,
     random_scenario,
+    reference_asym_sup,
+    reference_mermin_vertex_max,
 )
 
 
@@ -49,6 +51,24 @@ class TestOptimizerConfig:
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="value_tolerance"):
                 OptimizerConfig(value_tolerance=bad)
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("restarts", float("nan")),
+            ("restarts", 2.5),
+            ("max_iterations", float("inf")),
+            ("seed", -1),
+            ("seed", 1.5),
+        ],
+    )
+    def test_rejects_non_integer_or_out_of_range_field(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            OptimizerConfig(**{field: bad})
+
+    def test_accepts_numpy_integers(self):
+        cfg = OptimizerConfig(restarts=np.int64(4), max_iterations=np.int32(9), seed=np.uint64(2**63))
+        assert sym_sup(sigma_state(), preset_functional("chsh"), "free", cfg).restarts_used == 4
 
 
 class TestWitnessReport:
@@ -135,9 +155,36 @@ class TestAsymWitness:
         with pytest.raises(ValueError, match="two-qubit"):
             asym_sup(ghz(), preset_functional("chsh"))
 
+    def test_matches_full_vertex_scan(self, rng):
+        skew = BellFunctional(
+            alpha=[[1.0, -2.0, 0.5], [0.0, 1.5, -1.0]], beta=[0.7, -1.3], gamma=[-0.4, 0.9, 1.1]
+        )
+        functionals = (
+            preset_functional("chsh"),
+            preset_functional("c3322"),
+            skew,
+            BellFunctional(alpha=skew.alpha.T, beta=skew.gamma, gamma=skew.beta),
+        )
+        decisive = 0
+        for _ in range(200):
+            rho = ginibre_state(rng)
+            for f in functionals:
+                report = asym_sup(rho, f)
+                oracle, values = reference_asym_sup(rho, f)
+                assert abs(report.value - oracle.value) <= 1e-12
+                achieved = asym_value_fixed(rho, f, report.optimizing_scenario)
+                assert abs(achieved - report.value) <= 1e-12
+                top, runner_up = np.sort(values)[[-1, -2]]
+                if top - runner_up > 1e-9:
+                    decisive += 1
+                    for side in ("alice_directions", "bob_directions"):
+                        got = getattr(report.optimizing_scenario, side)
+                        assert np.array_equal(got, getattr(oracle.optimizing_scenario, side))
+        assert decisive > 350
+
     def test_oversized_functional_rejected_before_enumerating(self):
-        # 2^25 vertices would take minutes to scan; the guard fires first.
-        f = BellFunctional(alpha=np.ones((13, 12)), beta=np.zeros(13), gamma=np.zeros(12))
+        # 2^25 Alice vertices would take minutes to scan; the guard fires first.
+        f = BellFunctional(alpha=np.ones((25, 2)), beta=np.zeros(25), gamma=np.zeros(2))
         start = time.perf_counter()
         with pytest.raises(ValueError, match="too large"):
             asym_sup(sigma_state(), f)
@@ -400,6 +447,19 @@ class TestMermin:
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown mode"):
             mermin_lpo_witness(ghz(), "bogus")
+
+    def test_lhv_bound_matches_vertex_scan(self):
+        assert mermin_lhv_bound() == reference_mermin_vertex_max((1.0, 1.0, 1.0))
+
+    def test_asym_sup_is_norm_product_times_lhv_bound(self, rng):
+        states = [ginibre_state(rng, dims=(2, 2, 2)) for _ in range(200)]
+        states += [random_product_state(rng, 3) for _ in range(100)]
+        for rho in states:
+            n0, n1, n2 = (float(np.linalg.norm(bloch_vector(rho.marginal(k)))) for k in range(3))
+            value = mermin_lpo_witness(rho, "asym_sup").value
+            assert value == n0 * n1 * n2 * 2.0
+            oracle = reference_mermin_vertex_max((n0, n1, n2))
+            assert oracle - 1e-15 <= value <= oracle
 
     def test_asym_sup_dominated_by_lhv_on_random_states(self, rng):
         for _ in range(20):

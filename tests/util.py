@@ -4,9 +4,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from lpow import DensityMatrix, bell_operator_matrix, lpo_project, marginal_means, scenario_from_directions
+from lpow import (
+    DensityMatrix,
+    WitnessReport,
+    bell_operator_matrix,
+    lhv_bound,
+    lpo_project,
+    marginal_means,
+    scenario_from_directions,
+)
+from lpow.bell import _sign_vertices
 from lpow.linalg import kron
 from lpow.states import first_moments
+from lpow.witness import DEGENERATE_NORM, MERMIN_SIGNS
 
 
 def ginibre_state(rng: np.random.Generator, dims: tuple[int, ...] = (2, 2)) -> DensityMatrix:
@@ -220,3 +230,64 @@ def perceived_sym_value(rho: DensityMatrix, f, s) -> float:
 def explicit_lpo_correlator(ax, by, rho: DensityMatrix) -> float:
     """Perceived correlator as the explicit product of the projected ax x by."""
     return perceived_product(kron(ax.matrix, by.matrix), rho)
+
+
+# Vertex-scan oracles: the sign-vertex scans that lhv_bound, asym_sup and the
+# Mermin witness ran before they shared the vertex kernel, as they were.
+
+
+def reference_lhv_bound(f) -> float:
+    """Max of F over the 2^n b-side sign vertices, the best a taken per vertex."""
+    signs = _sign_vertices(f.shape[1])
+    values = np.abs(signs @ f.alpha.T + f.beta).sum(axis=1) + signs @ f.gamma
+    return float(values.max())
+
+
+def reference_asym_sup(rho: DensityMatrix, f):
+    """One-sided witness by scoring all 2^(m+n) (a, b) sign vertices.
+
+    Returns the report (ties to the first maximum in lexicographic sign
+    order) and the value of every vertex.
+    """
+    m, n = f.shape
+    signs = _sign_vertices(m + n)
+    r_a, r_b, _ = first_moments(rho)
+    norm_a = float(np.linalg.norm(r_a))
+    norm_b = float(np.linalg.norm(r_b))
+    a = norm_a * signs[:, None, :m]
+    b = norm_b * signs[:, m:, None]
+    # Row and column stacks multiply in bilinear_value's order, so each
+    # vertex scores exactly as bilinear_value would score it.
+    values = (a @ f.alpha @ b)[:, 0, 0] + (a @ f.beta)[:, 0] + (f.gamma @ b)[:, 0]
+    best = int(np.argmax(values))
+    best_value = values[best]
+    best_signs = signs[best]
+    unit_a = r_a / norm_a if norm_a > DEGENERATE_NORM else _Z
+    unit_b = r_b / norm_b if norm_b > DEGENERATE_NORM else _Z
+    scenario = scenario_from_directions(
+        [s * unit_a for s in best_signs[:m]],
+        [s * unit_b for s in best_signs[m:]],
+    )
+    report = WitnessReport(
+        value=float(best_value),
+        optimizing_scenario=scenario,
+        bounds=(("lhv", lhv_bound(f)),),
+        restarts_used=0,
+        converged=True,
+    )
+    return report, values
+
+
+def reference_mermin_vertex_max(norms) -> float:
+    """Max of the Mermin combination over per-party mean boxes [-|r_J|, |r_J|]^2.
+
+    The combination is multilinear, so the maximum sits at a sign vertex.
+    """
+    signs = _sign_vertices(6)
+    means = [norms[party] * signs[:, 2 * party : 2 * party + 2] for party in range(3)]
+    index = {"x": 0, "y": 1}
+    values = sum(
+        sign * means[0][:, index[la]] * means[1][:, index[lb]] * means[2][:, index[lc]]
+        for (la, lb, lc), sign in MERMIN_SIGNS.items()
+    )
+    return float(values.max())
