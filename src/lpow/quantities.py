@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DensityMatrix, bloch_vector, horodecki
+from .states import DensityMatrix, bloch_vector, first_moments, horodecki
 from .bell import (
     chsh_settings,
     normalized_value,
@@ -91,7 +91,11 @@ def _horodecki_m(rho, cfg, cache):
 
 def _bloch_norm(party: int):
     def evaluate(rho, cfg, cache):
-        value = float(np.linalg.norm(bloch_vector(rho.marginal(party))))
+        if rho.dims == (2, 2):
+            r = first_moments(rho)[party]
+        else:
+            r = bloch_vector(rho.marginal(party))
+        value = float(np.linalg.norm(r))
         return value, (("unit", 1.0),), True
 
     return evaluate

@@ -56,8 +56,8 @@ class SweepResult:
 
 
 def point_seed(global_seed: int, index: int) -> int:
-    """Stable per-grid-point seed derived from the global seed and point index."""
-    ss = np.random.SeedSequence(entropy=(int(global_seed) & (2**63 - 1), int(index)))
+    """Stable per-grid-point seed derived from the whole global seed and the point index."""
+    ss = np.random.SeedSequence(entropy=(int(global_seed), int(index)))
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -143,7 +143,12 @@ def read_csv(path: str | Path) -> tuple[list[str], dict[str, np.ndarray]]:
         if len(cells) != len(header):
             raise ValueError(f"{path}, line {number}: {len(cells)} cells, header has {len(header)}")
         for name, cell in zip(header, cells):
-            columns[name].append(float(cell))
+            try:
+                columns[name].append(float(cell))
+            except ValueError:
+                raise ValueError(
+                    f"{path}, line {number}, column {name!r}: not a number: {cell!r}"
+                ) from None
     return header, {name: np.array(vals) for name, vals in columns.items()}
 
 

@@ -25,6 +25,7 @@ from .bell import (
 
 BOUND_SLACK = 1e-8
 DEGENERATE_NORM = 1e-12
+_ROUNDING = 8.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -152,17 +153,56 @@ def _setting_forms(r: np.ndarray, w: np.ndarray, q: np.ndarray) -> np.ndarray:
     return 0.5 * (rw + rw.swapaxes(-1, -2)) + q[:, None, None] * np.outer(r, r)
 
 
-def _top_eigenvectors(_, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit u_k maximizing u_k^T M_k u_k for each form in ``mats`` (..., k, 3, 3).
+def _unit_normal(u: np.ndarray) -> np.ndarray:
+    """A fixed unit vector orthogonal to the unit vector ``u``.
 
-    The maximizer is M_k's top eigenvector and the maximum its top
-    eigenvalue; both come from one batched eigh and are returned as
-    (vectors (..., k, 3), maxima (..., k)). The vector's sign is immaterial
-    because the form is even in u. The first argument (the previous
-    directions) is not needed.
+    The orthonormal-basis construction of Duff et al., J. Comput. Graph. Tech.
+    6(1), 1 (2017).
     """
-    eigenvalues, eigenvectors = np.linalg.eigh(mats)
-    return eigenvectors[..., -1], eigenvalues[..., -1]
+    x, y, z = u
+    sign = 1.0 if z >= 0.0 else -1.0
+    a = -1.0 / (sign + z)
+    return np.array([1.0 + sign * x * x * a, sign * x * y * a, -sign * x])
+
+
+def _top_eigenpairs(r: np.ndarray, w: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit u_k maximizing u_k^T M_k u_k for M_k = sym(r w_k^T) + q_k r r^T, batched over w (..., k, 3).
+
+    M_k vanishes outside span{r, w_k}. In the orthonormal basis r^ = r/|r|,
+    p = w_perp/|w_perp| of that plane it is [[tau, h], [h, 0]], with
+    w_perp = w - (w.r^) r^, tau = q|r|^2 + r.w and h = |r||w_perp|/2. So
+    the maximum is lambda = (tau + d)/2 >= 0, d = sqrt(tau^2 + 4h^2), with
+    eigenvector lambda r^ + h p; for tau < 0 both are formed without
+    cancellation, as lambda = 2h^2/(d - tau) and 2h r^ + (d - tau) p. The
+    projection off r^ is taken twice, so p stays orthogonal to r^ when w is
+    nearly parallel to r; a w_perp at rounding level relative to w is
+    replaced by a fixed unit vector orthogonal to r, with h = 0. The zero
+    form (r = 0, or w parallel to r with tau = 0) returns r^ (+z for r = 0)
+    with lambda = 0. Returns (vectors (..., k, 3), maxima (..., k)); the
+    vector's sign is immaterial because the form is even in u.
+    """
+    norm_r = float(np.linalg.norm(r))
+    unit_r = r / norm_r if norm_r > 0.0 else _Z
+    along = w @ unit_r
+    perp = w - along[..., None] * unit_r
+    perp -= (perp @ unit_r)[..., None] * unit_r
+    norm_perp = np.sqrt(np.einsum("...i,...i->...", perp, perp))
+    flat = norm_perp <= _ROUNDING * np.sqrt(np.einsum("...i,...i->...", w, w))
+    perp = np.where(
+        flat[..., None], _unit_normal(unit_r), perp / np.where(flat, 1.0, norm_perp)[..., None]
+    )
+    two_h = np.where(flat, 0.0, norm_r * norm_perp)
+    tau = norm_r * (along + q * norm_r)
+    big = np.hypot(tau, two_h) + np.abs(tau)
+    rising = tau >= 0.0
+    maxima = 0.5 * np.where(rising, big, two_h**2 / np.where(rising, 1.0, big))
+    coef_r = np.where(rising, big, two_h)
+    coef_p = np.where(rising, two_h, big)
+    length = np.hypot(coef_r, coef_p)
+    empty = length == 0.0
+    length = np.where(empty, 1.0, length)
+    coef_r = np.where(empty, 1.0, coef_r / length)
+    return coef_r[..., None] * unit_r + (coef_p / length)[..., None] * perp, maxima
 
 
 def _jacobi_sweep(frame: np.ndarray, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -211,7 +251,9 @@ def sym_sup(
     With one party's directions fixed, the witness is a sum of per-setting
     quadratic forms u^T M_k u in the other party's directions (3x3 M_k), so
     each block update maximizes that sum. ``free`` takes each M_k's top
-    eigenvector, starting from Gaussian-drawn b-directions. ``orthogonal``
+    eigenvector, a closed form because M_k has rank <= 2 and vanishes
+    outside span{r, w_k} (``_top_eigenpairs``), starting from
+    Gaussian-drawn b-directions. ``orthogonal``
     keeps one orthonormal frame per party (setting k is row k; alpha, beta
     and gamma are padded with zeros to 3 settings, so unused rows carry
     M = 0) and runs one cyclic Jacobi sweep of plane rotations per update,
@@ -247,24 +289,30 @@ def sym_sup(
 
     if constraint == "free":
         alpha, beta, gamma = f.alpha, f.beta, f.gamma
-        maximize = _top_eigenvectors
+
+        def maximize(_, r, w, q):
+            return _top_eigenpairs(r, w, q)
+
         a_start, b_start = None, _gaussian_directions(n, cfg)
     else:
         alpha = np.pad(f.alpha, ((0, 3 - m), (0, 3 - n)))
         beta = np.pad(f.beta, (0, 3 - m))
         gamma = np.pad(f.gamma, (0, 3 - n))
-        maximize = _jacobi_sweep
+
+        def maximize(frame, r, w, q):
+            return _jacobi_sweep(frame, _setting_forms(r, w, q))
+
         a_start, b_start = _random_frames(cfg)
 
     def update_a(a_dirs: np.ndarray, b_dirs: np.ndarray) -> np.ndarray:
         # w_x = sum_y alpha_xy (b_y . r_B) T b_y
         w = (alpha * (b_dirs @ r_b)[:, None, :]) @ (b_dirs @ t.T)
-        return maximize(a_dirs, _setting_forms(r_a, w, beta))[0]
+        return maximize(a_dirs, r_a, w, beta)[0]
 
     def update_b(a_dirs: np.ndarray, b_dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         a = a_dirs @ r_a
         w = (alpha.T * a[:, None, :]) @ (a_dirs @ t)
-        b_dirs, forms = maximize(b_dirs, _setting_forms(r_b, w, gamma))
+        b_dirs, forms = maximize(b_dirs, r_b, w, gamma)
         return b_dirs, forms.sum(axis=-1) + (a**2) @ beta
 
     a_best, b_best, value, _, converged = _seesaw(update_a, update_b, a_start, b_start, cfg)

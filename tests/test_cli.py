@@ -299,6 +299,15 @@ class TestPlot:
         assert str(path) in err and message in err
         assert not svg.exists()
 
+    def test_non_numeric_cell_names_file_line_and_column(self, tmp_path, capsys):
+        path = tmp_path / "nn.csv"
+        path.write_text("param,a\n0,abc\n")
+        svg = tmp_path / "nn.svg"
+        assert main(["plot", str(path), "--out", str(svg)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}, line 2, column 'a': not a number: 'abc'" in err
+        assert not svg.exists()
+
     def test_svg_text_is_escaped(self, tmp_path):
         path = tmp_path / "r&d.csv"
         path.write_text('t&x,a<b "q"\n0,1\n1,2\n')

@@ -237,13 +237,20 @@ class TestBlochLevel:
 class TestFirstMoments:
     def test_built_once_per_state(self, rng, monkeypatch):
         calls = []
+        marginals = []
         original = lpow.states.correlation_matrix
+        original_marginal = lpow.states.DensityMatrix.marginal
 
         def counted(rho):
             calls.append(rho)
             return original(rho)
 
+        def counted_marginal(rho, party):
+            marginals.append(party)
+            return original_marginal(rho, party)
+
         monkeypatch.setattr(lpow.states, "correlation_matrix", counted)
+        monkeypatch.setattr(lpow.states.DensityMatrix, "marginal", counted_marginal)
         rho = ginibre_state(rng)
         cfg = OptimizerConfig(restarts=8, seed=0)
         two_qubit = [
@@ -258,6 +265,8 @@ class TestFirstMoments:
             "bloch_norm_b",
         ]
         compute_quantities(two_qubit, rho, cfg)
+        # The two marginals are taken once, for the cached r_A and r_B.
+        assert sorted(marginals) == [0, 1]
         report = sym_sup(rho, preset_functional("c3322"), "orthogonal", cfg)
         assert [name for name, _ in report.bounds] == ["geometry_free", "orthogonal"]
         assert len(calls) == 1

@@ -61,7 +61,21 @@ class TestPointSeed:
         assert point_seed(8, 0) != point_seed(7, 0)
 
     def test_handles_large_global_seeds(self):
-        assert point_seed(2**70 + 3, 1) == point_seed((2**70 + 3) & (2**63 - 1), 1)
+        # The whole seed is entropy: seeds that differ by 2^63 or more
+        # derive different point seeds.
+        assert point_seed(2**70 + 3, 1) == point_seed(2**70 + 3, 1)
+        assert point_seed(2**70 + 3, 1) != point_seed(3, 1)
+        assert point_seed(2**63, 0) != point_seed(0, 0)
+
+    def test_pinned_values(self):
+        # Seeds below 2^63 keep the point seeds the committed figures were made with.
+        pinned = {
+            0: ["0xdb2cd7e7b0f478be", "0x50ff846cec53f444", "0xa9601648099dae35", "0xc0586f4b59bcff66"],
+            2: ["0x8c8ea222a8ed588b", "0x5bb8fe82125601cf", "0x96a64d71e4135878", "0xd51f0481fdcd15d"],
+            4: ["0x6c73632b58de42c6", "0x29ecffbe993d4b3c", "0x59ae3b5a5dc53dc7", "0xf39df7a8d3f50311"],
+        }
+        for seed, expected in pinned.items():
+            assert [hex(point_seed(seed, i)) for i in (0, 1, 5, 100)] == expected
 
 
 class TestRunSweep:
@@ -147,6 +161,13 @@ class TestCsv:
         assert np.array_equal(columns["param"], result.param_values)
         for name in spec.quantities:
             assert np.array_equal(columns[name], result.table[name])
+
+    def test_non_numeric_cell_names_file_line_and_column(self, tmp_path):
+        path = tmp_path / "nn.csv"
+        path.write_text("param,a,b\n0,1,2\n\n1,2,x1\n")
+        with pytest.raises(ValueError) as info:
+            read_csv(path)
+        assert str(info.value) == f"{path}, line 4, column 'b': not a number: 'x1'"
 
     def test_line_endings_and_charset(self, tmp_path):
         result = run_sweep(small_spec())

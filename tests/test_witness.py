@@ -26,6 +26,7 @@ from lpow import (
     sym_value_fixed,
 )
 from lpow.states import bloch_vector, ghz, ket, make_state, pure_product, sigma_state, singlet, werner
+from lpow.witness import _top_eigenpairs
 from util import (
     ginibre_state,
     operator_asym_value,
@@ -35,6 +36,8 @@ from util import (
     random_scenario,
     reference_asym_sup,
     reference_mermin_vertex_max,
+    reference_setting_forms,
+    reference_top_eigenpairs,
 )
 
 
@@ -397,6 +400,92 @@ class TestSymWitnessSup:
             a = sym_sup(sigma_state(), f, constraint, cfg)
             b = sym_sup(sigma_state(), f, constraint, cfg)
             assert a.value == b.value
+
+    def test_free_mode_calls_no_eigh(self, rng, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg.eigh called")
+
+        states = [ginibre_state(rng), sigma_state(), make_state("transition", p=0.3)]
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        for rho in states:
+            for name in ("chsh", "c3322"):
+                report = sym_sup(rho, preset_functional(name), "free", OptimizerConfig(restarts=8))
+                assert report.restarts_used == 8
+
+
+SCALE_TOL = 2e-15
+
+
+def assert_top_eigenpairs(r, w, q):
+    """The closed form against eigh: lambda, |u| = 1 and u^T M u = lambda, to 2e-15 x scale.
+
+    The scale |r|(|w| + |q||r|) bounds the spectral norm of M.
+    """
+    u, lam = _top_eigenpairs(r, w, q)
+    forms = reference_setting_forms(r, w, q)
+    norm_r = np.linalg.norm(r)
+    scale = norm_r * (np.linalg.norm(w, axis=-1) + np.abs(q) * norm_r)
+    assert u.shape == w.shape and lam.shape == w.shape[:-1]
+    assert np.all(np.abs(lam - reference_top_eigenpairs(r, w, q)[1]) <= SCALE_TOL * scale)
+    assert np.all(np.abs(np.linalg.norm(u, axis=-1) - 1.0) <= 1e-15)
+    quad = np.einsum("...a,...ab,...b->...", u, forms, u)
+    assert np.all(np.abs(quad - lam) <= SCALE_TOL * scale)
+    return u, lam
+
+
+class TestTopEigenpairs:
+    """The free block update's closed-form top eigenpair of M = sym(r w^T) + q r r^T."""
+
+    def test_random_forms_match_eigh(self, rng):
+        for index in range(200):
+            k = 2 + index % 2
+            r = rng.normal(size=3) * 10.0 ** rng.uniform(-2, 1)
+            w = rng.normal(size=(25, k, 3)) * 10.0 ** rng.uniform(-2, 1)
+            q = rng.normal(size=k) if index % 3 else np.zeros(k)
+            assert_top_eigenpairs(r, w, q)
+
+    def test_zero_marginal_gives_z(self, rng):
+        w = rng.normal(size=(4, 3, 3))
+        u, lam = assert_top_eigenpairs(np.zeros(3), w, rng.normal(size=3))
+        assert np.array_equal(u, np.broadcast_to([0.0, 0.0, 1.0], w.shape))
+        assert np.array_equal(lam, np.zeros((4, 3)))
+
+    def test_zero_w_is_the_quadratic_term(self, rng):
+        q = np.array([1.5, 0.0, -0.7])
+        for _ in range(20):
+            r = rng.normal(size=3)
+            u, lam = assert_top_eigenpairs(r, np.zeros((2, 3, 3)), q)
+            assert np.allclose(lam, [[1.5 * (r @ r), 0.0, 0.0]] * 2, rtol=1e-15, atol=0.0)
+            # q < 0: the maximizer is orthogonal to r.
+            assert np.abs(u[:, 2] @ r).max() <= 1e-15 * np.linalg.norm(r)
+
+    @pytest.mark.parametrize("sign", [1.0, 0.0, -1.0], ids=["tau_pos", "tau_zero", "tau_neg"])
+    def test_w_parallel_to_r(self, rng, sign):
+        for index in range(50):
+            axis = index % 5 == 0
+            r = np.array([0.0, 0.0, 2.0]) if axis else rng.normal(size=3)
+            c = rng.choice([-1.75, -0.5, 0.25, 1.5], size=3)
+            w = (c[:, None] * r)[None]
+            # tau = |r|^2 (c + q) takes the sign under test.
+            q = -c + sign * rng.uniform(0.5, 2.0, size=3)
+            u, lam = assert_top_eigenpairs(r, w, q)
+            if sign == 0.0 and axis:
+                # Exact arithmetic on the z axis: M = 0, returned as r^.
+                assert np.array_equal(lam, np.zeros((1, 3)))
+                assert np.array_equal(u, np.broadcast_to([0.0, 0.0, 1.0], w.shape))
+            if sign < 0.0:
+                # The maximizer is orthogonal to r, at lambda = 0.
+                assert np.abs(u @ r).max() <= 1e-15 * np.linalg.norm(r)
+                if axis:
+                    assert np.array_equal(lam, np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("q_scale", [0.0, 1.0], ids=["q_zero", "q_nonzero"])
+    def test_w_tilted_off_r(self, rng, q_scale):
+        for index in range(50):
+            r = rng.normal(size=3) if index % 5 else np.array([0.0, 2.0, 0.0])
+            tilt = rng.normal(size=(6, 3, 3))
+            w = rng.choice([-1.0, 1.0], size=(6, 3, 1)) * r + 1e-9 * np.linalg.norm(r) * tilt
+            assert_top_eigenpairs(r, w, q_scale * rng.normal(size=3))
 
 
 class TestMermin:

@@ -134,22 +134,29 @@ def reference_functional_seesaw(rho: DensityMatrix, f, cfg):
     return reference_seesaw(update_a, update_b, batch_value, f.shape[1], cfg)
 
 
-def reference_witness_seesaw(rho: DensityMatrix, f, cfg):
-    """Free two-sided witness see-saw: eigenvector updates, value from the directions."""
-    r_a, r_b, t = first_moments(rho)
+def reference_setting_forms(r, w, q) -> np.ndarray:
+    """The 3x3 forms M_k = sym(r w_k^T) + q_k r r^T, batched over w (..., k, 3)."""
+    rw = r[:, None] * w[..., None, :]
+    return 0.5 * (rw + rw.swapaxes(-1, -2)) + q[:, None, None] * np.outer(r, r)
 
-    def top_eigenvectors(r, w, q):
-        rw = r[:, None] * w[..., None, :]
-        mats = 0.5 * (rw + rw.swapaxes(-1, -2)) + q[:, None, None] * np.outer(r, r)
-        return np.linalg.eigh(mats)[1][..., -1]
+
+def reference_top_eigenpairs(r, w, q) -> tuple[np.ndarray, np.ndarray]:
+    """Top eigenvectors (..., k, 3) and eigenvalues (..., k) of the forms, by batched eigh."""
+    values, vectors = np.linalg.eigh(reference_setting_forms(r, w, q))
+    return vectors[..., -1], values[..., -1]
+
+
+def reference_witness_seesaw(rho: DensityMatrix, f, cfg):
+    """Free two-sided witness see-saw: eigh eigenvector updates, value from the directions."""
+    r_a, r_b, t = first_moments(rho)
 
     def update_a(b_dirs):
         w = (f.alpha * (b_dirs @ r_b)[:, None, :]) @ (b_dirs @ t.T)
-        return top_eigenvectors(r_a, w, f.beta)
+        return reference_top_eigenpairs(r_a, w, f.beta)[0]
 
     def update_b(a_dirs):
         w = (f.alpha.T * (a_dirs @ r_a)[:, None, :]) @ (a_dirs @ t)
-        return top_eigenvectors(r_b, w, f.gamma)
+        return reference_top_eigenpairs(r_b, w, f.gamma)[0]
 
     def value_from_dirs(a_dirs, b_dirs):
         a = a_dirs @ r_a
