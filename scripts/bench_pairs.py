@@ -2,13 +2,13 @@
 
     python3 scripts/bench_pairs.py --base HEAD --pairs 5 --seconds 40 --out BENCH_topic.json
 
-Run it from the repository root. The base revision is checked out into a
-temporary git worktree, which is removed afterwards. For every workload
-named in BENCHMARK.json and every pair k = 0, 1, ..., ``python3
-perfbench/run.py --workload W --seed k --seconds S --trace 0`` runs once in
-the base checkout and once in the working tree, each in a fresh process; the
-order flips from pair to pair so that drift on the machine favours neither
-side. The output JSON records the machine (nproc, Python, numpy, BLAS),
+Run it from the repository root. The base revision is exported with ``git
+archive`` into a temporary directory (under $TMPDIR), which is removed
+afterwards. For every workload named in BENCHMARK.json and every pair
+k = 0, 1, ..., ``python3 perfbench/run.py --workload W --seed k --seconds S
+--trace 0`` runs once in the base checkout and once in the working tree,
+each in a fresh process; the order flips from pair to pair so that drift on
+the machine favours neither side. The output JSON records the machine (nproc, Python, numpy, BLAS),
 every run's metrics, and for each end-to-end metric of BENCHMARK.json the
 median and quartiles of each side, the change of the medians, and in how
 many pairs the working tree was better.
@@ -112,7 +112,9 @@ def main() -> int:
     }
     scratch = Path(tempfile.mkdtemp(prefix="bench-base-"))
     base_tree = scratch / "tree"
-    git("worktree", "add", "--detach", str(base_tree), args.base)
+    base_tree.mkdir()
+    archive = subprocess.run(["git", "archive", args.base], check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(base_tree)], input=archive, check=True)
     try:
         for workload in (w["name"] for w in bench["workloads"]):
             runs = []
@@ -129,7 +131,6 @@ def main() -> int:
                 "summary": summarize(runs, bench["end_to_end"]),
             }
     finally:
-        git("worktree", "remove", "--force", str(base_tree))
         shutil.rmtree(scratch, ignore_errors=True)
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     return 0

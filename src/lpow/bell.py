@@ -300,8 +300,8 @@ class OptimizerConfig:
     """Multi-start see-saw parameters.
 
     Every optimizer runs ``restarts`` lockstep starts drawn from ``seed`` and
-    stops once no start gains more than ``value_tolerance`` in one round, or
-    after ``max_iterations`` rounds.
+    stops once no start gains more than ``value_tolerance`` over one cycle
+    of ``bell._seesaw``, or after ``max_iterations`` see-saw maps.
     """
 
     restarts: int = 64
@@ -322,7 +322,10 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class BellOptimum:
-    """Result of settings optimization of a Bell functional value."""
+    """Result of settings optimization of a Bell functional value.
+
+    ``iterations`` counts see-saw maps; ``converged``: the stopping rule, not the cap, ended them.
+    """
 
     value: float
     scenario: MeasurementScenario
@@ -330,45 +333,84 @@ class BellOptimum:
     converged: bool
 
 
-def _normalize_rows(v: np.ndarray, fallback: np.ndarray) -> np.ndarray:
-    """Rows of ``v`` scaled to unit length; a row of norm <= 1e-14 becomes ``fallback``."""
+def _normalize_rows(v: np.ndarray) -> np.ndarray:
+    """Rows of ``v`` scaled to unit length; a row of norm <= 1e-14 becomes +z."""
     norms = np.sqrt((v * v).sum(axis=-1, keepdims=True))
     out = np.empty_like(v)
-    out[...] = fallback
+    out[...] = _Z
     return np.divide(v, norms, out=out, where=norms > 1e-14)
 
 
 def _gaussian_directions(n: int, cfg: OptimizerConfig) -> np.ndarray:
     """(restarts, n, 3) unit directions normalized from Gaussian draws of ``cfg.seed``."""
     rng = np.random.default_rng(cfg.seed)
-    return _normalize_rows(rng.normal(size=(cfg.restarts, n, 3)), _Z)
+    return _normalize_rows(rng.normal(size=(cfg.restarts, n, 3)))
 
 
-def _seesaw(update_a, update_b, a_dirs, b_dirs, cfg: OptimizerConfig):
+def _squarem_point(b0: np.ndarray, b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
+    """SQUAREM point b0 - 2 alpha r + alpha^2 v of three successive iterates.
+
+    r = b1 - b0, v = b2 - b1 - r, and alpha = -|r|/|v| per restart over its
+    flattened directions, clipped to <= -1 (-1 when v = 0, which gives b2).
+    """
+    r = b1 - b0
+    v = b2 - b1 - r
+    r_norm = np.sqrt((r * r).sum(axis=(1, 2)))
+    v_norm = np.sqrt((v * v).sum(axis=(1, 2)))
+    alpha = np.minimum(-r_norm / np.where(v_norm > 0.0, v_norm, np.inf), -1.0)[:, None, None]
+    return b0 - 2.0 * alpha * r + alpha**2 * v
+
+
+def _seesaw(update_a, update_b, a_dirs, b_dirs, cfg: OptimizerConfig, retract=None):
     """Multi-start alternating block ascent over measurement directions.
 
     Both updates take the current batches ``(a_dirs, b_dirs)``, each of
-    shape (restarts, k, 3), so an update may start from its own block's
-    previous directions. ``update_a`` returns the best a-directions for the
-    given b-directions; ``update_b`` returns the best b-directions for the
-    given a-directions and also the batch value of the pair (a, b) it just
-    formed, read off its own block update, so a round is scored without a
-    separate evaluation. The caller supplies the starting batches (an update
-    that ignores its own block may start from ``a_dirs=None``); all restarts
-    advance in lockstep until no restart gains more than
-    ``cfg.value_tolerance`` in one round. Returns the best restart's a- and
-    b-directions and value, the iteration count, and whether that stopping
-    rule fired.
+    shape (restarts, k, 3). ``update_a`` returns the best a-directions for
+    the given b-directions; ``update_b`` returns the best b-directions for
+    the given a-directions and the batch value of the pair it formed, so a
+    map (``update_a`` then ``update_b``) needs no separate evaluation. An
+    update that ignores its own block may start from ``a_dirs=None``.
+
+    A cycle is two maps b0 -> b1 -> b2 and, given a ``retract``, one more
+    map from retract(``_squarem_point(b0, b1, b2)``) that each restart keeps
+    only if its value is not below b2's: safeguarded SQUAREM (Varadhan &
+    Roland, Scand. J. Stat. 35, 335, 2008), under which no restart's value
+    decreases. Without one, a cycle is one map. The loop stops when no
+    restart gains more than ``cfg.value_tolerance`` over a cycle; the first
+    cycle, whose start has no value, also stops where the plain loop does,
+    when its second map gains no more than that. The iteration count is the
+    number of maps, at most ``cfg.max_iterations``; when fewer than three
+    remain, untested plain maps fill the cap. Returns the best restart's
+    directions and value, the iteration count, and whether the rule fired.
     """
+
+    def step(a, b):
+        a = update_a(a, b)
+        b, v = update_b(a, b)
+        return a, b, v
+
     values = np.full(cfg.restarts, -np.inf)
-    converged = False
-    for iterations in range(1, cfg.max_iterations + 1):
-        a_dirs = update_a(a_dirs, b_dirs)
-        b_dirs, new_values = update_b(a_dirs, b_dirs)
-        converged = bool((new_values - values <= cfg.value_tolerance).all())
+    iterations, converged = 0, False
+    while not converged and iterations < cfg.max_iterations:
+        if retract is None or cfg.max_iterations - iterations < 3:
+            a_dirs, b_dirs, new_values = step(a_dirs, b_dirs)
+            iterations += 1
+            converged = retract is None and bool((new_values - values <= cfg.value_tolerance).all())
+        else:
+            b0 = b_dirs
+            a1, b1, v1 = step(a_dirs, b0)
+            a_dirs, b_dirs, new_values = step(a1, b1)
+            iterations += 2
+            # The first cycle's start has no value: stop where the plain loop would.
+            converged = iterations == 2 and bool((new_values - v1 <= cfg.value_tolerance).all())
+            if not converged:
+                a3, b3, v3 = step(a_dirs, retract(_squarem_point(b0, b1, b_dirs)))
+                iterations += 1
+                keep = (v3 >= new_values)[:, None, None]
+                a_dirs, b_dirs = np.where(keep, a3, a_dirs), np.where(keep, b3, b_dirs)
+                new_values = np.fmax(new_values, v3)
+                converged = bool((new_values - values <= cfg.value_tolerance).all())
         values = np.maximum(values, new_values)
-        if converged:
-            break
     best = int(np.argmax(values))
     return a_dirs[best], b_dirs[best], float(values[best]), iterations, converged
 
@@ -389,10 +431,10 @@ def optimize_functional_value(
     product of the flattened (restarts, 3n) directions with a fixed
     Kronecker map (kron(alpha^T, T^T) towards A, kron(alpha, T) towards B),
     plus a constant, followed by a row normalization (a zero gradient falls
-    back to +z). The round's value is read off the B update: with gradients
+    back to +z). The map's value is read off the B update: with gradients
     g_y, F = sum_y b_y.g_y + sum_x beta_x a_x.r_A, which is sum_y |g_y| plus
-    the A marginal term. All restarts advance in lockstep; ``converged`` is
-    true only when every restart's last gain is within ``value_tolerance``.
+    the A marginal term. All restarts advance in lockstep through safeguarded
+    SQUAREM cycles of ``_seesaw``, which defines ``converged``.
     """
     m, n = f.shape
     r_a, r_b, t = first_moments(rho)
@@ -403,19 +445,19 @@ def optimize_functional_value(
 
     def update_a(_, b_dirs):
         grad = b_dirs.reshape(len(b_dirs), -1) @ to_a + shift_a
-        return _normalize_rows(grad.reshape(-1, m, 3), _Z)
+        return _normalize_rows(grad.reshape(-1, m, 3))
 
     def update_b(a_dirs, _):
         a_flat = a_dirs.reshape(len(a_dirs), -1)
         grad = (a_flat @ to_b + shift_b).reshape(-1, n, 3)
-        b_dirs = _normalize_rows(grad, _Z)
+        b_dirs = _normalize_rows(grad)
         return b_dirs, np.einsum("rny,rny->r", b_dirs, grad) + a_flat @ shift_a
 
     cfg = OptimizerConfig(
         restarts=restarts, max_iterations=max_iterations, value_tolerance=value_tolerance, seed=seed
     )
     a_best, b_best, value, iterations, converged = _seesaw(
-        update_a, update_b, None, _gaussian_directions(n, cfg), cfg
+        update_a, update_b, None, _gaussian_directions(n, cfg), cfg, _normalize_rows
     )
     return BellOptimum(
         value=value,

@@ -14,6 +14,7 @@ from .bell import (
     OptimizerConfig,
     _Z,
     _gaussian_directions,
+    _normalize_rows,
     _seesaw,
     _sign_vertices,
     _vertex_max,
@@ -252,17 +253,19 @@ def sym_sup(
     quadratic forms u^T M_k u in the other party's directions (3x3 M_k), so
     each block update maximizes that sum. ``free`` takes each M_k's top
     eigenvector, a closed form because M_k has rank <= 2 and vanishes
-    outside span{r, w_k} (``_top_eigenpairs``), starting from
-    Gaussian-drawn b-directions. ``orthogonal``
-    keeps one orthonormal frame per party (setting k is row k; alpha, beta
-    and gamma are padded with zeros to 3 settings, so unused rows carry
-    M = 0) and runs one cyclic Jacobi sweep of plane rotations per update,
-    starting from the canonical frames in restart 0 and random rotations in
-    the others. Each round's value is read off the B update: the sum of
-    b_y^T M_y b_y plus the beta terms of the fixed a-directions. When the
-    applicable cap already pins the witness to zero (e.g. a maximally mixed
-    marginal with no positive quadratic coefficient), the optimization is
-    skipped. ``converged`` describes the reported restart.
+    outside span{r, w_k} (``_top_eigenpairs``), from Gaussian-drawn
+    b-directions, in SQUAREM cycles that renormalize extrapolated rows.
+    ``orthogonal`` keeps one orthonormal frame per party (setting k is row
+    k; alpha, beta and gamma are padded with zeros to 3 settings, so unused
+    rows carry M = 0) and runs one cyclic Jacobi sweep of plane rotations
+    per update, from the canonical frames in restart 0 and random rotations
+    in the others, in plain maps: an extrapolated frame's renormalized rows
+    are not orthonormal, and its polar factor cost more than it saved. Each
+    map's value is read off the B update: the sum of b_y^T M_y b_y plus the
+    beta terms of the fixed a-directions. When the applicable cap already
+    pins the witness to zero (e.g. a maximally mixed marginal with no
+    positive quadratic coefficient), the optimization is skipped.
+    ``converged`` describes the reported restart.
     """
     if constraint not in ("free", "orthogonal"):
         raise ValueError(f"unknown constraint {constraint!r}")
@@ -293,7 +296,7 @@ def sym_sup(
         def maximize(_, r, w, q):
             return _top_eigenpairs(r, w, q)
 
-        a_start, b_start = None, _gaussian_directions(n, cfg)
+        a_start, b_start, retract = None, _gaussian_directions(n, cfg), _normalize_rows
     else:
         alpha = np.pad(f.alpha, ((0, 3 - m), (0, 3 - n)))
         beta = np.pad(f.beta, (0, 3 - m))
@@ -303,6 +306,7 @@ def sym_sup(
             return _jacobi_sweep(frame, _setting_forms(r, w, q))
 
         a_start, b_start = _random_frames(cfg)
+        retract = None
 
     def update_a(a_dirs: np.ndarray, b_dirs: np.ndarray) -> np.ndarray:
         # w_x = sum_y alpha_xy (b_y . r_B) T b_y
@@ -315,7 +319,7 @@ def sym_sup(
         b_dirs, forms = maximize(b_dirs, r_b, w, gamma)
         return b_dirs, forms.sum(axis=-1) + (a**2) @ beta
 
-    a_best, b_best, value, _, converged = _seesaw(update_a, update_b, a_start, b_start, cfg)
+    a_best, b_best, value, _, converged = _seesaw(update_a, update_b, a_start, b_start, cfg, retract)
     return WitnessReport(
         value=value,
         optimizing_scenario=scenario_from_directions(

@@ -320,6 +320,14 @@ class TestOptimizeFunctionalValue:
         assert opt.iterations == 1
         assert not opt.converged
 
+    @pytest.mark.parametrize("cap", [2, 4, 5])
+    def test_iteration_cap_counts_map_calls(self, cap):
+        # A SQUAREM cycle makes three map calls; when fewer remain, plain
+        # maps run up to the cap, and reaching it never counts as converged.
+        opt = optimize_functional_value(sigma_state(), preset_functional("chsh"), max_iterations=cap)
+        assert opt.iterations == cap
+        assert not opt.converged
+
     def test_reported_scenario_achieves_value(self, rng):
         # The second functional has alpha != alpha^T, so the B update must
         # contract alpha itself, not its transpose.

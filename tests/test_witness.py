@@ -25,7 +25,18 @@ from lpow import (
     sym_sup,
     sym_value_fixed,
 )
-from lpow.states import bloch_vector, ghz, ket, make_state, pure_product, sigma_state, singlet, werner
+from lpow.states import (
+    DensityMatrix,
+    bloch_vector,
+    first_moments,
+    ghz,
+    ket,
+    make_state,
+    pure_product,
+    sigma_state,
+    singlet,
+    werner,
+)
 from lpow.witness import _top_eigenpairs
 from util import (
     ginibre_state,
@@ -33,6 +44,7 @@ from util import (
     perceived_sym_value,
     random_orthogonal_scenario,
     random_product_state,
+    random_pure_state,
     random_scenario,
     reference_asym_sup,
     reference_mermin_vertex_max,
@@ -305,10 +317,34 @@ class TestSymWitnessSup:
             sym_sup(ghz(), preset_functional("chsh"))
 
     def test_conjectured_chsh_cap_on_random_corpus(self, rng):
-        # Free-setting optimized symmetric CHSH witness never found above 2.
+        # The free CHSH witness is at most 2|r_A||r_B|sqrt(s1^2 + s2^2) for
+        # the two largest singular values s1 >= s2 of T: with
+        # a'_x = (u_x.r_A) u_x and b'_y = (v_y.r_B) v_y it is the CHSH form
+        # sum alpha_xy a'_x^T T b'_y over balls of radii |r_A| and |r_B|,
+        # whose maximum is |r_A||r_B| times the Horodecki maximum
+        # 2 sqrt(s1^2 + s2^2). Purity caps that product at 2. Pure, rank-2
+        # and near-product states and the figure grids are where the cap is
+        # nearly tight, so an optimizer that overshoots shows there.
         f = preset_functional("chsh")
         cfg = OptimizerConfig(restarts=64, seed=5)
-        values = [sym_sup(ginibre_state(rng), f, "free", cfg).value for _ in range(200)]
+        states = [ginibre_state(rng) for _ in range(200)]
+        for _ in range(20):
+            states.append(random_pure_state(rng))
+            weight = rng.uniform()
+            u, v = random_pure_state(rng).matrix, random_pure_state(rng).matrix
+            states.append(DensityMatrix(weight * u + (1.0 - weight) * v, (2, 2)))
+            eps = 10.0 ** rng.uniform(-6.0, -2.0)
+            near = (1.0 - eps) * random_product_state(rng).matrix + eps * ginibre_state(rng).matrix
+            states.append(DensityMatrix(near, (2, 2)))
+        states += [make_state("transition", p=p) for p in np.linspace(0.0, 1.0, 101)]
+        states += [make_state("cg", theta=t) for t in np.linspace(0.02, 0.78, 61)]
+        values = []
+        for rho in states:
+            r_a, r_b, t = first_moments(rho)
+            s1, s2 = np.linalg.svd(t, compute_uv=False)[:2]
+            cap = 2.0 * np.linalg.norm(r_a) * np.linalg.norm(r_b) * np.hypot(s1, s2)
+            values.append(sym_sup(rho, f, "free", cfg).value)
+            assert values[-1] <= cap + 1e-9
         assert max(values) <= 2.0 + 1e-6
 
     # Free-mode CHSH values of the multi-start compass search over spherical

@@ -79,7 +79,8 @@ def random_effect(rng: np.random.Generator, d: int = 4) -> np.ndarray:
     return 0.5 * (h + h.conj().T)
 
 
-# Reference see-saw: the loop as it ran before each block update became one
+# Reference see-saw: the plain alternating loop, one map per round, as it ran
+# before the SQUAREM cycles and before each block update became one
 # Kronecker-map product and before the round's value was read off the last
 # update. Every update is an einsum over the (restarts, k, 3) direction
 # batches and every round is scored by a separate three-operand evaluation.
