@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import kron
-from .states import DensityMatrix, QubitObservable, first_moments
+from .states import DensityMatrix, QubitObservable, _two_qubit_moments
 
 IDENTITY_TOL = 1e-10
 ORTHOGONALITY_TOL = 1e-10
@@ -161,9 +161,7 @@ def marginal_means(rho: DensityMatrix, s: MeasurementScenario) -> MarginalMeans:
     a_x = Tr(rho_A sigma.u_x), b_y = Tr(rho_B sigma.v_y) and
     C_xy = Tr[rho (sigma.u_x x sigma.v_y)].
     """
-    if rho.dims != (2, 2):
-        raise ValueError("marginal_means needs a two-qubit state")
-    r_a, r_b, t = first_moments(rho)
+    r_a, r_b, t = _two_qubit_moments(rho, "marginal_means")
     alice, bob = s.alice_directions, s.bob_directions
     return MarginalMeans(a=alice @ r_a, b=bob @ r_b, c=alice @ t @ bob.T)
 
@@ -248,24 +246,13 @@ def c3322_value(rho: DensityMatrix, s: MeasurementScenario) -> float:
 def i3322_probability_value(rho: DensityMatrix, s: MeasurementScenario) -> float:
     """Probability-form 3-setting inequality value (classical bound 0).
 
-    Built from the correlator tables through the joint-probability identity;
-    satisfies the correlator-form relation C = 4 (I + 1).
+    Every joint probability is an affine image of the correlators, so the
+    value is the affine image I = C/4 - 1 of the correlator form C =
+    ``c3322_value``.
     """
     if len(s.alice) != 3 or len(s.bob) != 3:
         raise ValueError("i3322_probability_value needs 3 settings per party")
-    means = marginal_means(rho, s)
-    alpha = preset_functional("c3322").alpha
-
-    def p_joint(x: int, y: int) -> float:
-        return cond_joint_prob(0, 0, means.a[x], means.b[y], means.c[x, y])
-
-    joint = sum(
-        alpha[x, y] * p_joint(x, y) for x in range(3) for y in range(3) if alpha[x, y] != 0.0
-    )
-    p_a1 = 0.5 * (1.0 + means.a[0])
-    p_b1 = 0.5 * (1.0 + means.b[0])
-    p_b2 = 0.5 * (1.0 + means.b[1])
-    return float(joint - p_a1 - 2.0 * p_b1 - p_b2)
+    return c3322_value(rho, s) / 4.0 - 1.0
 
 
 def i2222_probability_value(rho: DensityMatrix, s: MeasurementScenario) -> float:
@@ -275,15 +262,7 @@ def i2222_probability_value(rho: DensityMatrix, s: MeasurementScenario) -> float
     """
     if len(s.alice) != 2 or len(s.bob) != 2:
         raise ValueError("i2222_probability_value needs 2 settings per party")
-    means = marginal_means(rho, s)
-
-    def p_joint(x: int, y: int) -> float:
-        return cond_joint_prob(0, 0, means.a[x], means.b[y], means.c[x, y])
-
-    joint = p_joint(0, 0) + p_joint(0, 1) + p_joint(1, 0) - p_joint(1, 1)
-    p_a1 = 0.5 * (1.0 + means.a[0])
-    p_b1 = 0.5 * (1.0 + means.b[0])
-    return float(joint - p_a1 - p_b1)
+    return functional_value(rho, preset_functional("chsh"), s) / 4.0 - 0.5
 
 
 def normalized_value(kind: str, raw: float) -> float:
@@ -437,7 +416,7 @@ def optimize_functional_value(
     SQUAREM cycles of ``_seesaw``, which defines ``converged``.
     """
     m, n = f.shape
-    r_a, r_b, t = first_moments(rho)
+    r_a, r_b, t = _two_qubit_moments(rho, "optimize_functional_value")
     to_a = np.kron(f.alpha.T, t.T)
     to_b = np.kron(f.alpha, t)
     shift_a = np.kron(f.beta, r_a)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import sys
 from pathlib import Path
 
@@ -164,7 +165,9 @@ def _cmd_plot(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``lpow`` parser, built on first use and shared by every later call."""
     parser = argparse.ArgumentParser(
         prog="lpow",
         description="Perception witnesses and Bell functionals for few-qubit states.",

@@ -32,36 +32,15 @@ def kron(*factors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _strides(dims: tuple[int, ...]) -> list[int]:
-    # Composite basis index is a0*(d1*d2*...) + a1*(d2*...) + ...
-    out = []
-    acc = 1
-    for d in reversed(dims):
-        out.append(acc)
-        acc *= d
-    return list(reversed(out))
-
-
-def _offsets(dims: tuple[int, ...], subsystems: tuple[int, ...], strides: list[int]) -> np.ndarray:
-    """Global-index contribution of every multi-index over the given subsystems."""
-    sub_dims = tuple(dims[i] for i in subsystems)
-    size = math.prod(sub_dims) if sub_dims else 1
-    if not sub_dims:
-        return np.zeros(1, dtype=np.intp)
-    digits = np.unravel_index(np.arange(size), sub_dims)
-    out = np.zeros(size, dtype=np.intp)
-    for digit, subsystem in zip(digits, subsystems):
-        out += digit * strides[subsystem]
-    return out
-
-
 def partial_trace(m: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
     """Trace out every subsystem not listed in ``keep``.
 
-    The matrix is addressed through explicit multi-index strides of the
-    factorization, so the routine works for any subsystem dimensions and
-    any subset of kept parties (order of ``keep`` is normalized to
-    ascending, matching the tensor-factor convention).
+    The matrix is viewed as a tensor with one row and one column axis per
+    subsystem, so the routine works for any subsystem dimensions and any
+    subset of kept parties (order of ``keep`` is normalized to ascending,
+    matching the tensor-factor convention). The kept axes move first, and a
+    contiguous copy of the traced block's diagonal is summed along its last
+    axis, which adds each entry's terms in numpy's pairwise order.
     """
     m = np.asarray(m, dtype=complex)
     total = math.prod(dims)
@@ -72,12 +51,11 @@ def partial_trace(m: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -
         raise ValueError("keep must name at least one subsystem")
     if keep[0] < 0 or keep[-1] >= len(dims):
         raise ValueError(f"keep {keep} out of range for {len(dims)} subsystems")
-    comp = tuple(i for i in range(len(dims)) if i not in keep)
-    strides = _strides(dims)
-    kept_off = _offsets(dims, keep, strides)
-    comp_off = _offsets(dims, comp, strides)
-    rows = kept_off[:, None] + comp_off[None, :]
-    return m[rows[:, None, :], rows[None, :, :]].sum(axis=2)
+    axes = keep + tuple(i for i in range(len(dims)) if i not in keep)
+    kept = math.prod(dims[i] for i in keep)
+    blocks = m.reshape(*dims, *dims).transpose(*axes, *(len(dims) + i for i in axes))
+    blocks = blocks.reshape(kept, total // kept, kept, total // kept)
+    return np.ascontiguousarray(np.diagonal(blocks, axis1=1, axis2=3)).sum(axis=-1)
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import HERMITICITY_TOL, dagger, kron, partial_trace
-from .states import DensityMatrix, QubitObservable, first_moments
+from .states import DensityMatrix, QubitObservable, _two_qubit_moments
 
 
 @dataclass(frozen=True)
@@ -59,9 +59,7 @@ def lpo_correlator(ax: QubitObservable, by: QubitObservable, rho: DensityMatrix)
     first moments: a_x = u.r_A, b_y = v.r_B and C_xy = u^T T v for the
     directions u of ``ax`` and v of ``by``.
     """
-    if rho.dims != (2, 2):
-        raise ValueError("lpo_correlator needs a two-qubit state")
-    r_a, r_b, t = first_moments(rho)
+    r_a, r_b, t = _two_qubit_moments(rho, "lpo_correlator")
     a = float(r_a @ ax.direction)
     b = float(r_b @ by.direction)
     c = float(ax.direction @ t @ by.direction)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -43,18 +43,25 @@ class DensityMatrix:
         return len(self.dims)
 
     def marginal(self, party: int) -> "DensityMatrix":
-        """Single-party reduced state."""
-        sub = partial_trace(self.matrix, self.dims, (party,))
-        return DensityMatrix(sub, (self.dims[party],))
+        """Single-party reduced state, built and validated once per state; its matrix is read-only."""
+        if not 0 <= party < self.n_parties:
+            raise ValueError(f"party {party} out of range for {self.n_parties} parties")
+        return self._marginals[party]
 
     @cached_property
-    def _first_moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only (r_A, r_B, T), built on first use; read it through ``first_moments``."""
-        moments = (
-            bloch_vector(self.marginal(0)),
-            bloch_vector(self.marginal(1)),
-            correlation_matrix(self),
+    def _marginals(self) -> tuple["DensityMatrix", ...]:
+        marginals = tuple(
+            DensityMatrix(partial_trace(self.matrix, self.dims, (k,)), (d,)) for k, d in enumerate(self.dims)
         )
+        for rho in marginals:
+            rho.matrix.flags.writeable = False
+        return marginals
+
+    @cached_property
+    def _first_moments(self) -> tuple[np.ndarray, ...]:
+        """Read-only (r_A, r_B[, r_C], T), built on first use; read it through ``first_moments``."""
+        n = self.n_parties
+        moments = (*(bloch_vector(self.marginal(k)) for k in range(n)), _pauli_traces(self.matrix, n))
         for v in moments:
             v.flags.writeable = False
         return moments
@@ -253,32 +260,70 @@ def make_state(family: str, **params) -> DensityMatrix:
     return fn(**{k: float(params[k]) for k in names})
 
 
+@cache
+def _pauli_gather(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and phases of the diagonal of m P for every n-qubit Pauli string P.
+
+    P = sigma_mu1 x ... x sigma_mun has one nonzero entry per column, so
+    (m P)_ii = m_ij P_ji, where j is i XOR the string's flip mask (sigma_x
+    and sigma_y flip their bit) and P_ji is the product, in Kronecker order,
+    of one +-1 or +-i per bit of i. Columns and phases are (3,)*n + (2^n,).
+    """
+    rows = np.arange(2**n)
+    shifts = np.arange(n - 1, -1, -1)
+    bits = (rows >> shifts[:, None]) & 1
+    mus = np.indices((3,) * n).reshape(n, -1, 1)
+    cols = rows ^ (np.array([1, 1, 0])[mus] << shifts[:, None, None]).sum(axis=0)
+    phase = np.array([[1, 1], [1j, -1j], [1, -1]])
+    phases = phase[mus[0], bits[0]]
+    for k in range(1, n):
+        phases = phases * phase[mus[k], bits[k]]
+    shape = (3,) * n + (2**n,)
+    return rows, cols.reshape(shape), phases.reshape(shape)
+
+
+def _pauli_traces(m: np.ndarray, n: int) -> np.ndarray:
+    """(3,)*n table of Tr(m sigma_mu1 x ... x sigma_mun) for a 2^n x 2^n matrix m.
+
+    Each entry gathers the 2^n nonzero diagonal products of m P and sums
+    them along the last axis, in the pairwise order in which ``np.trace``
+    adds a diagonal, so the table equals the explicit traces bit for bit.
+    """
+    rows, cols, phases = _pauli_gather(n)
+    return (m[rows, cols] * phases).sum(axis=-1).real.copy()
+
+
 def bloch_vector(rho: DensityMatrix | np.ndarray) -> np.ndarray:
     """Pauli expectation 3-vector of a single-qubit state."""
     m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError("bloch_vector needs a single-qubit state")
-    return np.array([np.trace(m @ p).real for p in PAULIS])
+    return _pauli_traces(m, 1)
 
 
 def correlation_matrix(rho: DensityMatrix) -> np.ndarray:
-    """3x3 table of Pauli-Pauli expectations of a two-qubit state."""
-    if rho.dims != (2, 2):
-        raise ValueError("correlation_matrix needs a two-qubit state")
-    m = rho.matrix
-    return np.array(
-        [[np.trace(m @ kron(PAULIS[i], PAULIS[j])).real for j in range(3)] for i in range(3)]
-    )
+    """3x3 table of Pauli-Pauli expectations of a two-qubit state, a writable copy of the cached T."""
+    return _two_qubit_moments(rho, "correlation_matrix")[2].copy()
 
 
-def first_moments(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Marginal Bloch vectors r_A, r_B and correlation matrix T of a two-qubit state.
+def first_moments(rho: DensityMatrix) -> tuple[np.ndarray, ...]:
+    """Marginal Bloch vectors and Pauli correlation tensor of a two- or three-qubit state.
 
-    Every two-qubit evaluator reads these three arrays. They are computed
-    once per state instance, cached on it, and returned read-only.
+    (r_A, r_B, T) for two qubits and (r_A, r_B, r_C, T_ABC) for three, with
+    r_k = ``bloch_vector(rho.marginal(k))`` and T_{ij...} the expectation of
+    sigma_i x sigma_j x ... . Every two- and three-qubit evaluator reads
+    these arrays. They are computed once per state instance, cached on it,
+    and returned read-only.
     """
+    if rho.dims not in ((2, 2), (2, 2, 2)):
+        raise ValueError("first_moments needs a two- or three-qubit state")
+    return rho._first_moments
+
+
+def _two_qubit_moments(rho: DensityMatrix, caller: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(r_A, r_B, T) of ``rho``, which ``caller`` requires to be a two-qubit state."""
     if rho.dims != (2, 2):
-        raise ValueError("first_moments needs a two-qubit state")
+        raise ValueError(f"{caller} needs a two-qubit state")
     return rho._first_moments
 
 
@@ -288,7 +333,7 @@ def horodecki(rho: DensityMatrix) -> HorodeckiResult:
     The verdict is equivalent to the settings-optimized CHSH value
     2*sqrt(s1^2 + s2^2) staying at or below the classical bound 2.
     """
-    sv = singular_values(first_moments(rho)[2])
+    sv = singular_values(_two_qubit_moments(rho, "horodecki")[2])
     s1, s2 = float(sv[0]), float(sv[1])
     m_value = math.hypot(s1, s2)
     return HorodeckiResult(s1=s1, s2=s2, m_value=m_value, admits_lhv=m_value <= 1.0 + 1e-10)

@@ -82,7 +82,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             params[spec.sweep_param] = float(values[index])
             rho = make_state(spec.family, **params)
         except ValueError as exc:
-            notes.append(f"point {index} ({spec.sweep_param}={values[index]!r}): {exc}")
+            notes.append(f"point {index} ({spec.sweep_param}={format_float(values[index])}): {exc}")
             return [math.nan] * len(spec.quantities), notes
         row: list[float] = []
         cache: dict[str, object] = {}

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import kron, singular_values
-from .states import DensityMatrix, QubitObservable, bloch_vector, first_moments
+from .linalg import singular_values
+from .states import DensityMatrix, QubitObservable, _two_qubit_moments, first_moments
 from .bell import (
     BellFunctional,
     MeasurementScenario,
@@ -74,9 +74,7 @@ def asym_sup(rho: DensityMatrix, f: BellFunctional) -> WitnessReport:
     20 Alice settings, with ties to the first vertex in lexicographic sign
     order. The directions are the signs times the unit marginals (or +z).
     """
-    if rho.dims != (2, 2):
-        raise ValueError("asym_sup needs a two-qubit state")
-    r_a, r_b, _ = first_moments(rho)
+    r_a, r_b, _ = _two_qubit_moments(rho, "asym_sup")
     norm_a = float(np.linalg.norm(r_a))
     norm_b = float(np.linalg.norm(r_b))
     value, a, b = _vertex_max(norm_a * norm_b * f.alpha, norm_a * f.beta, norm_b * f.gamma)
@@ -118,7 +116,7 @@ def bound_geometry_free(rho: DensityMatrix, f: BellFunctional) -> float:
     positive quadratic coefficients can contribute since the squared means
     may always be sent to zero.
     """
-    r_a, r_b, _ = first_moments(rho)
+    r_a, r_b, _ = _two_qubit_moments(rho, "bound_geometry_free")
     na = float(np.linalg.norm(r_a))
     nb = float(np.linalg.norm(r_b))
     return float(
@@ -135,7 +133,7 @@ def bound_orthogonal(rho: DensityMatrix, f: BellFunctional) -> float:
     positive quadratic coefficients times the squared norms; orthogonality
     makes the per-party mean vectors Parseval-bounded.
     """
-    r_a, r_b, _ = first_moments(rho)
+    r_a, r_b, _ = _two_qubit_moments(rho, "bound_orthogonal")
     na = float(np.linalg.norm(r_a))
     nb = float(np.linalg.norm(r_b))
     spectral = float(singular_values(np.abs(f.alpha))[0])
@@ -269,11 +267,9 @@ def sym_sup(
     """
     if constraint not in ("free", "orthogonal"):
         raise ValueError(f"unknown constraint {constraint!r}")
-    if rho.dims != (2, 2):
-        raise ValueError("sym_sup needs a two-qubit state")
     cfg = cfg or OptimizerConfig()
     m, n = f.shape
-    r_a, r_b, t = first_moments(rho)
+    r_a, r_b, t = _two_qubit_moments(rho, "sym_sup")
 
     bounds = [("geometry_free", bound_geometry_free(rho, f))]
     if constraint == "orthogonal":
@@ -347,8 +343,9 @@ def mermin_settings() -> tuple[tuple[QubitObservable, QubitObservable], ...]:
 
 
 def _mermin_correlator(rho: DensityMatrix, obs: tuple[QubitObservable, ...]) -> float:
-    op = kron(*[o.matrix for o in obs])
-    return float(np.trace(rho.matrix @ op).real)
+    """Tr[rho (A x B x C)]: the correlation tensor T_ABC contracted with the three directions."""
+    u, v, w = (o.direction for o in obs)
+    return float(u @ (first_moments(rho)[3] @ w) @ v)
 
 
 def _mermin_terms(settings) -> list[tuple[tuple[QubitObservable, ...], float]]:
@@ -369,10 +366,7 @@ def mermin_value(
     """Three-party correlator combination xxx - xyy - yxy - yyx (classical bound 2)."""
     if rho.dims != (2, 2, 2):
         raise ValueError("mermin_value needs a three-qubit state")
-    total = 0.0
-    for obs, sign in _mermin_terms(settings):
-        total += sign * _mermin_correlator(rho, obs)
-    return total
+    return sum(sign * _mermin_correlator(rho, obs) for obs, sign in _mermin_terms(settings))
 
 
 def mermin_lhv_bound() -> float:
@@ -400,7 +394,7 @@ def mermin_lpo_witness(
     """
     if rho.dims != (2, 2, 2):
         raise ValueError("mermin_lpo_witness needs a three-qubit state")
-    r_vecs = [bloch_vector(rho.marginal(k)) for k in range(3)]
+    r_vecs = first_moments(rho)[:3]
     norms = [float(np.linalg.norm(r)) for r in r_vecs]
 
     if mode == "asym_sup":

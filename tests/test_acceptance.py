@@ -21,7 +21,6 @@ from lpow import (
     bound_orthogonal,
     c3322_value,
     chsh_settings,
-    functional_value,
     i2222_probability_value,
     i3322_probability_value,
     lhv_bound,
@@ -59,6 +58,8 @@ from util import (
     random_orthogonal_scenario,
     random_product_state,
     random_scenario,
+    reference_i2222_probability_value,
+    reference_i3322_probability_value,
 )
 
 
@@ -197,9 +198,7 @@ def test_random_state_and_setting_property_suite():
         assert sym_value_fixed(rho, chsh, s) <= bound_geometry_free(rho, chsh) + 1e-9
         assert abs(sym_value_fixed(rho, chsh, s) - perceived_sym_value(rho, chsh, s)) <= 1e-10
         assert_means_match_traces(rho, s)
-        assert abs(
-            i2222_probability_value(rho, s) - (functional_value(rho, chsh, s) / 4.0 - 0.5)
-        ) < 1e-12
+        assert abs(i2222_probability_value(rho, s) - reference_i2222_probability_value(rho, s)) < 1e-12
     for _ in range(2500):
         rho = ginibre_state(rng)
         s = random_scenario(rng, 3, 3)
@@ -207,7 +206,7 @@ def test_random_state_and_setting_property_suite():
         assert abs(sym_value_fixed(rho, c3322, s) - perceived_sym_value(rho, c3322, s)) <= 1e-10
         assert_means_match_traces(rho, s)
         assert abs(
-            c3322_value(rho, s) - 4.0 * (i3322_probability_value(rho, s) + 1.0)
+            4.0 * (i3322_probability_value(rho, s) - reference_i3322_probability_value(rho, s))
         ) < 1e-10
 
     # Orthogonal settings obey the sharper cap.

@@ -33,6 +33,8 @@ from util import (
     ginibre_state,
     random_directions,
     random_scenario,
+    reference_i2222_probability_value,
+    reference_i3322_probability_value,
     reference_lhv_bound,
 )
 
@@ -255,6 +257,17 @@ class TestInequalityIdentities:
             assert abs(
                 i2222_probability_value(rho, s) - (functional_value(rho, f, s) / 4.0 - 0.5)
             ) < 1e-12
+
+    def test_probability_forms_match_joint_probability_oracles(self, rng):
+        # The library forms are affine images of the correlator forms; the
+        # oracles sum the joint probabilities term by term.
+        for _ in range(25):
+            rho = ginibre_state(rng)
+            s2, s3 = random_scenario(rng, 2, 2), random_scenario(rng, 3, 3)
+            assert abs(i2222_probability_value(rho, s2) - reference_i2222_probability_value(rho, s2)) < 1e-12
+            assert abs(
+                4.0 * (i3322_probability_value(rho, s3) - reference_i3322_probability_value(rho, s3))
+            ) < 1e-10
 
     def test_setting_count_validation(self):
         with pytest.raises(ValueError, match="3 settings"):

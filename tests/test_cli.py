@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from lpow.cli import main
+from lpow.cli import build_parser, main
 from lpow.sweeps import read_csv
 
 
@@ -328,6 +328,22 @@ class TestEntryPoints:
 
     def test_usage_error_exit_code_from_main(self, capsys):
         assert main(["report", "--state", "singlet", "--quantities", "zzz"]) == 2
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_shared_parser_keeps_no_state_between_parses(self):
+        parser = build_parser()
+        argv = ["report", "--state", "singlet", "--quantities", "s_chsh"]
+        assert parser.parse_args([*argv, "--seed", "5"]).seed == 5
+        assert parser.parse_args(argv).seed is None
+
+    def test_one_qubit_bloch_norm_line(self, capsys):
+        code = main(["report", "--state", "pure_product:theta_a=0.7", "--quantities", "bloch_norm_a"])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "bloch_norm_a = 0.9999999999999999  bounds: unit=1.0  converged: yes\n"
+        )
 
 
 def test_import_does_not_load_scipy():

@@ -15,6 +15,7 @@ from lpow.linalg import (
     partial_trace,
     singular_values,
 )
+from util import reference_partial_trace
 
 
 def random_complex(rng, d):
@@ -77,6 +78,23 @@ def test_partial_trace_matches_einsum_reference(rng):
                 got = partial_trace(m, dims, keep)
                 want = reference_partial_trace_einsum(m, dims, keep)
                 assert np.allclose(got, want), (dims, keep)
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [(2,), (2, 2), (2, 2, 2), (2, 3), (3, 2), (2, 2, 2, 2), (3, 2, 2), (2, 3, 4)],
+    ids=lambda dims: "x".join(map(str, dims)),
+)
+def test_partial_trace_bytes_match_strided_gather(rng, dims):
+    # The reshaped diagonal must add each entry's terms in the order of the
+    # strided index gather it replaced, for every subset of kept parties.
+    n = len(dims)
+    for _ in range(200):
+        m = random_complex(rng, int(np.prod(dims)))
+        for r in range(1, n + 1):
+            for keep in itertools.combinations(range(n), r):
+                got = partial_trace(m, dims, keep)
+                assert got.tobytes() == reference_partial_trace(m, dims, keep).tobytes(), (dims, keep)
 
 
 def test_partial_trace_keep_everything_is_identity_map(rng):

@@ -9,7 +9,7 @@ from lpow import (
     compute_quantity,
 )
 from lpow.quantities import WITNESS_QUANTITIES
-from lpow.states import ghz, ket, make_state, pure_product, sigma_state, singlet, werner
+from lpow.states import ghz, ket, make_state, maximally_mixed, pure_product, sigma_state, singlet, werner
 from util import ginibre_state
 
 FAST = OptimizerConfig(restarts=16, seed=0)
@@ -113,6 +113,18 @@ class TestTwoQubitQuantities:
             r = compute_quantity("mermin_lpo", rho3, FAST)
             for _, bound in r.bounds:
                 assert r.value <= bound + 1e-8
+
+
+class TestBlochNorms:
+    def test_any_qubit_count(self):
+        one = make_state("pure_product", theta_a=0.7)
+        assert compute_quantity("bloch_norm_a", one).value == 0.9999999999999999
+        with pytest.raises(ValueError, match="at least two"):
+            compute_quantity("bloch_norm_b", one)
+        four = pure_product([ket(0), ket(1), ket(0), ket(1)])
+        res = compute_quantities(["bloch_norm_a", "bloch_norm_b"], four)
+        assert [r.value for r in res] == [1.0, 1.0]
+        assert compute_quantity("bloch_norm_a", maximally_mixed(4)).value == 0.0
 
 
 class TestThreeQubitQuantities:

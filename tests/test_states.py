@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,16 +10,20 @@ from lpow import (
     OptimizerConfig,
     QubitObservable,
     bloch_vector,
+    bound_geometry_free,
+    bound_orthogonal,
     cg_lambda,
     compute_quantities,
     correlation_matrix,
     horodecki,
     make_state,
     observable,
+    optimize_functional_value,
     optimized_chsh,
     preset_functional,
     sym_sup,
 )
+from lpow.linalg import PAULIS, kron
 from lpow.states import (
     _cg_chsh_gap,
     cg,
@@ -34,7 +39,14 @@ from lpow.states import (
     transition,
     werner,
 )
-from util import ginibre_state
+from util import (
+    ginibre_state,
+    random_pure_state,
+    random_product_state,
+    reference_bloch_vector,
+    reference_correlation_matrix,
+    reference_partial_trace,
+)
 
 
 class TestDensityMatrixValidation:
@@ -234,23 +246,43 @@ class TestBlochLevel:
             assert np.abs(t).max() <= 1.0 + 1e-12
 
 
+def hex_table(values) -> list[str]:
+    return [float(x).hex() for x in np.ravel(values)]
+
+
+def two_qubit_corpus(rng) -> list[DensityMatrix]:
+    """3,117 two-qubit states: random ones and the figure families' grids."""
+    states = [ginibre_state(rng) for _ in range(1400)]
+    states += [random_pure_state(rng) for _ in range(600)]
+    states += [random_product_state(rng) for _ in range(400)]
+    states += [make_state("cg", theta=t) for t in np.linspace(0.02, 0.78, 61)]
+    states += [make_state("transition", p=p) for p in np.linspace(0.0, 1.0, 101)]
+    states += [make_state("werner", p=p) for p in np.linspace(0.0, 1.0, 101)]
+    states += [
+        make_state("classical", theta=t, beta=b)
+        for t in np.linspace(0.0, math.pi / 2.0, 41)
+        for b in np.linspace(0.0, 2.0 * math.pi, 11)
+    ]
+    return states + [singlet(), sigma_state(), maximally_mixed()]
+
+
 class TestFirstMoments:
     def test_built_once_per_state(self, rng, monkeypatch):
-        calls = []
-        marginals = []
-        original = lpow.states.correlation_matrix
-        original_marginal = lpow.states.DensityMatrix.marginal
+        traced = []
+        gathered = []
+        original_trace = lpow.states.partial_trace
+        original_gather = lpow.states._pauli_traces
 
-        def counted(rho):
-            calls.append(rho)
-            return original(rho)
+        def counted_trace(m, dims, keep):
+            traced.append(keep)
+            return original_trace(m, dims, keep)
 
-        def counted_marginal(rho, party):
-            marginals.append(party)
-            return original_marginal(rho, party)
+        def counted_gather(m, n):
+            gathered.append(n)
+            return original_gather(m, n)
 
-        monkeypatch.setattr(lpow.states, "correlation_matrix", counted)
-        monkeypatch.setattr(lpow.states.DensityMatrix, "marginal", counted_marginal)
+        monkeypatch.setattr(lpow.states, "partial_trace", counted_trace)
+        monkeypatch.setattr(lpow.states, "_pauli_traces", counted_gather)
         rho = ginibre_state(rng)
         cfg = OptimizerConfig(restarts=8, seed=0)
         two_qubit = [
@@ -265,11 +297,11 @@ class TestFirstMoments:
             "bloch_norm_b",
         ]
         compute_quantities(two_qubit, rho, cfg)
-        # The two marginals are taken once, for the cached r_A and r_B.
-        assert sorted(marginals) == [0, 1]
         report = sym_sup(rho, preset_functional("c3322"), "orthogonal", cfg)
         assert [name for name, _ in report.bounds] == ["geometry_free", "orthogonal"]
-        assert len(calls) == 1
+        # The two marginals are taken once, and the two-qubit gather runs once.
+        assert traced == [(0,), (1,)]
+        assert gathered.count(2) == 1 and set(gathered) == {1, 2}
 
     def test_cached_arrays_are_read_only(self, rng):
         rho = ginibre_state(rng)
@@ -281,8 +313,78 @@ class TestFirstMoments:
         assert np.array_equal(t, correlation_matrix(rho))
 
     def test_requires_two_qubits(self):
-        with pytest.raises(ValueError, match="two-qubit"):
-            first_moments(ghz())
+        # Two and three qubits are accepted; every other qubit count raises.
+        for rho in (maximally_mixed(1), maximally_mixed(4)):
+            with pytest.raises(ValueError, match="two- or three-qubit"):
+                first_moments(rho)
+        assert len(first_moments(ghz())) == 4
+
+    def test_match_kron_traces_bit_for_bit(self, rng):
+        # A change in the gather's phases or in numpy's summation order
+        # shows here as a last-bit difference.
+        for rho in two_qubit_corpus(rng):
+            moments = first_moments(rho)
+            want_t = reference_correlation_matrix(rho)
+            assert hex_table(moments[2]) == hex_table(want_t)
+            assert hex_table(correlation_matrix(rho)) == hex_table(want_t)
+            for k in range(2):
+                want_r = reference_bloch_vector(reference_partial_trace(rho.matrix, (2, 2), (k,)))
+                assert hex_table(moments[k]) == hex_table(want_r)
+                assert hex_table(bloch_vector(rho.marginal(k))) == hex_table(want_r)
+
+    def test_three_qubit_pauli_strings_match_kron_traces(self, rng):
+        states = [ginibre_state(rng, (2, 2, 2)) for _ in range(120)]
+        states += [random_pure_state(rng, (2, 2, 2)) for _ in range(60)]
+        states += [random_product_state(rng, 3) for _ in range(40)]
+        states.append(ghz())
+        for rho in states:
+            *r_vecs, t = first_moments(rho)
+            assert t.shape == (3, 3, 3)
+            for i, j, k in itertools.product(range(3), repeat=3):
+                op = kron(PAULIS[i], PAULIS[j], PAULIS[k])
+                assert t[i, j, k].hex() == np.trace(rho.matrix @ op).real.hex()
+            for k, r in enumerate(r_vecs):
+                want = reference_bloch_vector(reference_partial_trace(rho.matrix, (2, 2, 2), (k,)))
+                assert hex_table(r) == hex_table(want)
+
+    def test_correlation_matrix_is_a_writable_copy(self, rng):
+        rho = ginibre_state(rng)
+        t = correlation_matrix(rho)
+        t[0, 0] = 5.0
+        assert first_moments(rho)[2][0, 0] != 5.0
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            horodecki,
+            lambda rho: bound_geometry_free(rho, preset_functional("chsh")),
+            lambda rho: bound_orthogonal(rho, preset_functional("chsh")),
+            lambda rho: optimize_functional_value(rho, preset_functional("chsh"), restarts=2),
+        ],
+        ids=["horodecki", "bound_geometry_free", "bound_orthogonal", "optimize_functional_value"],
+    )
+    def test_two_qubit_readers_reject_three_qubits(self, evaluate):
+        with pytest.raises(ValueError, match="needs a two-qubit state"):
+            evaluate(ghz())
+
+
+class TestMarginals:
+    def test_same_read_only_object_on_every_call(self, rng):
+        rho = ginibre_state(rng, (2, 3))
+        for k in range(2):
+            sub = rho.marginal(k)
+            assert sub is rho.marginal(k)
+            assert sub.dims == (rho.dims[k],)
+            with pytest.raises(ValueError, match="read-only"):
+                sub.matrix[0, 0] = 0.0
+            assert hex_table(sub.matrix.view(float)) == hex_table(
+                reference_partial_trace(rho.matrix, rho.dims, (k,)).view(float)
+            )
+
+    def test_party_out_of_range(self):
+        for party in (2, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                singlet().marginal(party)
 
 
 class TestHorodecki:

@@ -103,7 +103,7 @@ class TestRunSweep:
         result = run_sweep(spec)
         assert np.isnan(result.table["s_chsh"][0])
         assert not np.isnan(result.table["s_chsh"][-1])
-        assert any("p=" in w for w in result.warnings)
+        assert any("(p=-0.5)" in w for w in result.warnings)
 
     def test_point_shares_one_optimization_across_quantities(self, monkeypatch):
         spec = SweepSpec(

@@ -1,9 +1,10 @@
-"""Static check that no module of the package imports a name it never reads."""
+"""Static check that no module of the package, the tests or the scripts imports a name it never reads."""
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lpow"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "lpow"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -29,6 +30,13 @@ def test_package_modules_read_every_import():
     modules = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
     assert len(modules) >= 10
     unused = {path.name: unused_imports(path.read_text(encoding="utf-8")) for path in modules}
+    assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_test_and_script_modules_read_every_import():
+    modules = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    assert len(modules) >= 15
+    unused = {str(path.relative_to(ROOT)): unused_imports(path.read_text(encoding="utf-8")) for path in modules}
     assert {name: names for name, names in unused.items() if names} == {}
 
 

@@ -11,6 +11,7 @@ from lpow import (
     asym_sup,
     asym_value_fixed,
     bound_geometry_free,
+    observable,
     bound_orthogonal,
     chsh_settings,
     lhv_bound,
@@ -37,9 +38,10 @@ from lpow.states import (
     singlet,
     werner,
 )
-from lpow.witness import _top_eigenpairs
+from lpow.witness import _mermin_terms, _top_eigenpairs
 from util import (
     ginibre_state,
+    random_directions,
     operator_asym_value,
     perceived_sym_value,
     random_orthogonal_scenario,
@@ -47,6 +49,8 @@ from util import (
     random_pure_state,
     random_scenario,
     reference_asym_sup,
+    reference_bloch_vector,
+    reference_mermin_correlator,
     reference_mermin_vertex_max,
     reference_setting_forms,
     reference_top_eigenpairs,
@@ -585,6 +589,27 @@ class TestMermin:
             assert value == n0 * n1 * n2 * 2.0
             oracle = reference_mermin_vertex_max((n0, n1, n2))
             assert oracle - 1e-15 <= value <= oracle
+
+    def test_tensor_contraction_matches_kron_traces(self, rng):
+        # At the default x/y settings the contraction of T_ABC picks tensor
+        # entries exactly, so the value is bit-identical to the kron traces;
+        # at random settings the two sums may round differently.
+        for _ in range(200):
+            rho = ginibre_state(rng, dims=(2, 2, 2))
+            want = 0.0
+            for obs, sign in _mermin_terms(None):
+                want += sign * reference_mermin_correlator(rho, obs)
+            assert mermin_value(rho).hex() == want.hex()
+            pairs = tuple(tuple(observable(v) for v in random_directions(rng, 2)) for _ in range(3))
+            r_vecs = [reference_bloch_vector(rho.marginal(k).matrix) for k in range(3)]
+            want = sym_fixed = 0.0
+            for obs, sign in _mermin_terms(pairs):
+                corr = reference_mermin_correlator(rho, obs)
+                want += sign * corr
+                means = [float(r_vecs[k] @ obs[k].direction) for k in range(3)]
+                sym_fixed += sign * means[0] * means[1] * means[2] * corr
+            assert abs(mermin_value(rho, pairs) - want) <= 1e-15
+            assert abs(mermin_lpo_witness(rho, "sym_fixed", pairs).value - sym_fixed) <= 1e-15
 
     def test_asym_sup_dominated_by_lhv_on_random_states(self, rng):
         for _ in range(20):

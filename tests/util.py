@@ -2,19 +2,23 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from lpow import (
     DensityMatrix,
     WitnessReport,
     bell_operator_matrix,
+    cond_joint_prob,
     lhv_bound,
     lpo_project,
     marginal_means,
+    preset_functional,
     scenario_from_directions,
 )
 from lpow.bell import _sign_vertices
-from lpow.linalg import kron
+from lpow.linalg import PAULIS, kron
 from lpow.states import first_moments
 from lpow.witness import DEGENERATE_NORM, MERMIN_SIGNS
 
@@ -299,3 +303,122 @@ def reference_mermin_vertex_max(norms) -> float:
         for (la, lb, lc), sign in MERMIN_SIGNS.items()
     )
     return float(values.max())
+
+
+# Moment and trace oracles: the explicit paths that first_moments,
+# bloch_vector, correlation_matrix, the Mermin correlator, partial_trace and
+# the probability forms took before they read one cached gather, as they
+# were. They must agree with the library bit for bit, except the
+# probability forms, which moved to affine images of the correlator forms.
+
+
+def reference_bloch_vector(rho) -> np.ndarray:
+    """Pauli expectation 3-vector of a single-qubit state."""
+    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    if m.shape != (2, 2):
+        raise ValueError("bloch_vector needs a single-qubit state")
+    return np.array([np.trace(m @ p).real for p in PAULIS])
+
+
+def reference_correlation_matrix(rho: DensityMatrix) -> np.ndarray:
+    """3x3 table of Pauli-Pauli expectations of a two-qubit state."""
+    if rho.dims != (2, 2):
+        raise ValueError("correlation_matrix needs a two-qubit state")
+    m = rho.matrix
+    return np.array(
+        [[np.trace(m @ kron(PAULIS[i], PAULIS[j])).real for j in range(3)] for i in range(3)]
+    )
+
+
+def reference_mermin_correlator(rho: DensityMatrix, obs) -> float:
+    op = kron(*[o.matrix for o in obs])
+    return float(np.trace(rho.matrix @ op).real)
+
+
+def _strides(dims: tuple[int, ...]) -> list[int]:
+    # Composite basis index is a0*(d1*d2*...) + a1*(d2*...) + ...
+    out = []
+    acc = 1
+    for d in reversed(dims):
+        out.append(acc)
+        acc *= d
+    return list(reversed(out))
+
+
+def _offsets(dims: tuple[int, ...], subsystems: tuple[int, ...], strides: list[int]) -> np.ndarray:
+    """Global-index contribution of every multi-index over the given subsystems."""
+    sub_dims = tuple(dims[i] for i in subsystems)
+    size = math.prod(sub_dims) if sub_dims else 1
+    if not sub_dims:
+        return np.zeros(1, dtype=np.intp)
+    digits = np.unravel_index(np.arange(size), sub_dims)
+    out = np.zeros(size, dtype=np.intp)
+    for digit, subsystem in zip(digits, subsystems):
+        out += digit * strides[subsystem]
+    return out
+
+
+def reference_partial_trace(m: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
+    """Trace out every subsystem not listed in ``keep``.
+
+    The matrix is addressed through explicit multi-index strides of the
+    factorization, so the routine works for any subsystem dimensions and
+    any subset of kept parties (order of ``keep`` is normalized to
+    ascending, matching the tensor-factor convention).
+    """
+    m = np.asarray(m, dtype=complex)
+    total = math.prod(dims)
+    if m.shape != (total, total):
+        raise ValueError(f"matrix shape {m.shape} does not match factorization {dims}")
+    keep = tuple(sorted(set(keep)))
+    if not keep:
+        raise ValueError("keep must name at least one subsystem")
+    if keep[0] < 0 or keep[-1] >= len(dims):
+        raise ValueError(f"keep {keep} out of range for {len(dims)} subsystems")
+    comp = tuple(i for i in range(len(dims)) if i not in keep)
+    strides = _strides(dims)
+    kept_off = _offsets(dims, keep, strides)
+    comp_off = _offsets(dims, comp, strides)
+    rows = kept_off[:, None] + comp_off[None, :]
+    return m[rows[:, None, :], rows[None, :, :]].sum(axis=2)
+
+
+def reference_i3322_probability_value(rho: DensityMatrix, s) -> float:
+    """Probability-form 3-setting inequality value (classical bound 0).
+
+    Built from the correlator tables through the joint-probability identity;
+    satisfies the correlator-form relation C = 4 (I + 1).
+    """
+    if len(s.alice) != 3 or len(s.bob) != 3:
+        raise ValueError("i3322_probability_value needs 3 settings per party")
+    means = marginal_means(rho, s)
+    alpha = preset_functional("c3322").alpha
+
+    def p_joint(x: int, y: int) -> float:
+        return cond_joint_prob(0, 0, means.a[x], means.b[y], means.c[x, y])
+
+    joint = sum(
+        alpha[x, y] * p_joint(x, y) for x in range(3) for y in range(3) if alpha[x, y] != 0.0
+    )
+    p_a1 = 0.5 * (1.0 + means.a[0])
+    p_b1 = 0.5 * (1.0 + means.b[0])
+    p_b2 = 0.5 * (1.0 + means.b[1])
+    return float(joint - p_a1 - 2.0 * p_b1 - p_b2)
+
+
+def reference_i2222_probability_value(rho: DensityMatrix, s) -> float:
+    """Probability-form 2-setting inequality value (classical bound 0).
+
+    Equals S/4 - 1/2 for the CHSH combination S at the same settings.
+    """
+    if len(s.alice) != 2 or len(s.bob) != 2:
+        raise ValueError("i2222_probability_value needs 2 settings per party")
+    means = marginal_means(rho, s)
+
+    def p_joint(x: int, y: int) -> float:
+        return cond_joint_prob(0, 0, means.a[x], means.b[y], means.c[x, y])
+
+    joint = p_joint(0, 0) + p_joint(0, 1) + p_joint(1, 0) - p_joint(1, 1)
+    p_a1 = 0.5 * (1.0 + means.a[0])
+    p_b1 = 0.5 * (1.0 + means.b[0])
+    return float(joint - p_a1 - p_b1)
