@@ -291,7 +291,7 @@ class OptimizerConfig:
     def __post_init__(self):
         for name, low in (("restarts", 1), ("max_iterations", 1), ("seed", 0)):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < low:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if not 0.0 < self.value_tolerance < math.inf:
             raise ValueError(
@@ -313,8 +313,16 @@ class BellOptimum:
 
 
 def _normalize_rows(v: np.ndarray) -> np.ndarray:
-    """Rows of ``v`` scaled to unit length; a row of norm <= 1e-14 becomes +z."""
-    norms = np.sqrt((v * v).sum(axis=-1, keepdims=True))
+    """Rows of ``v`` scaled to unit length; a row of norm <= 1e-14 (or NaN) becomes +z.
+
+    The squares are summed as (x^2 + y^2) + z^2, the order of ``add.reduce``
+    over a last axis of three, so the norms equal ``sqrt((v * v).sum(-1))``
+    bit for bit.
+    """
+    sq = v * v
+    norms = np.sqrt((sq[..., 0] + sq[..., 1]) + sq[..., 2])[..., None]
+    if norms.min() > 1e-14:
+        return v / norms
     out = np.empty_like(v)
     out[...] = _Z
     return np.divide(v, norms, out=out, where=norms > 1e-14)
@@ -326,72 +334,117 @@ def _gaussian_directions(n: int, cfg: OptimizerConfig) -> np.ndarray:
     return _normalize_rows(rng.normal(size=(cfg.restarts, n, 3)))
 
 
+def _shared_config(cfgs) -> OptimizerConfig:
+    """The one loop configuration of stacked groups, whose configs may differ only in seed."""
+    cfg = cfgs[0]
+    loop = (cfg.restarts, cfg.max_iterations, cfg.value_tolerance)
+    if any((c.restarts, c.max_iterations, c.value_tolerance) != loop for c in cfgs):
+        raise ValueError("stacked optimizations must share every OptimizerConfig field but seed")
+    return cfg
+
+
 def _squarem_point(b0: np.ndarray, b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
     """SQUAREM point b0 - 2 alpha r + alpha^2 v of three successive iterates.
 
     r = b1 - b0, v = b2 - b1 - r, and alpha = -|r|/|v| per restart over its
     flattened directions, clipped to <= -1 (-1 when v = 0, which gives b2).
+    The iterates have shape (groups, restarts, k, 3).
     """
     r = b1 - b0
     v = b2 - b1 - r
-    r_norm = np.sqrt((r * r).sum(axis=(1, 2)))
-    v_norm = np.sqrt((v * v).sum(axis=(1, 2)))
-    alpha = np.minimum(-r_norm / np.where(v_norm > 0.0, v_norm, np.inf), -1.0)[:, None, None]
+    r_norm = np.sqrt((r * r).sum(axis=(2, 3)))
+    v_norm = np.sqrt((v * v).sum(axis=(2, 3)))
+    alpha = np.minimum(-r_norm / np.where(v_norm > 0.0, v_norm, np.inf), -1.0)[..., None, None]
     return b0 - 2.0 * alpha * r + alpha**2 * v
 
 
 def _seesaw(update_a, update_b, a_dirs, b_dirs, cfg: OptimizerConfig, retract=None):
-    """Multi-start alternating block ascent over measurement directions.
+    """Multi-start alternating block ascent over measurement directions, for stacked groups.
 
-    Both updates take the current batches ``(a_dirs, b_dirs)``, each of
-    shape (restarts, k, 3). ``update_a`` returns the best a-directions for
-    the given b-directions; ``update_b`` returns the best b-directions for
-    the given a-directions and the batch value of the pair it formed, so a
-    map (``update_a`` then ``update_b``) needs no separate evaluation. An
-    update that ignores its own block may start from ``a_dirs=None``.
+    The batches have shape (groups, restarts, k, 3): each group is one
+    optimization (one state) with its own restarts, and every group runs the
+    same maps in lockstep. Both updates take ``(live, a_dirs, b_dirs)``:
+    ``live`` indexes the leading axis of the caller's per-group constants
+    (a full slice until a group retires, then the live groups' indices) and
+    the batches hold the live groups only. ``update_a`` returns the best
+    a-directions for the given b-directions; ``update_b`` returns the best
+    b-directions for the given a-directions and the (groups, restarts)
+    values of the pair it formed, so a map (``update_a`` then ``update_b``)
+    needs no separate evaluation. An update that ignores its own block may
+    start from ``a_dirs=None``.
 
     A cycle is two maps b0 -> b1 -> b2 and, given a ``retract``, one more
     map from retract(``_squarem_point(b0, b1, b2)``) that each restart keeps
     only if its value is not below b2's: safeguarded SQUAREM (Varadhan &
     Roland, Scand. J. Stat. 35, 335, 2008), under which no restart's value
-    decreases. Without one, a cycle is one map. The loop stops when no
-    restart gains more than ``cfg.value_tolerance`` over a cycle; the first
-    cycle, whose start has no value, also stops where the plain loop does,
-    when its second map gains no more than that. The iteration count is the
+    decreases. Without one, a cycle is one map. A group stops when none of
+    its restarts gains more than ``cfg.value_tolerance`` over a cycle; in
+    the first cycle, whose start has no value, a group also stops where the
+    plain loop does, when its second map gains no more than that. A group
+    that stops is retired: its lanes leave the batches, so a group's
+    result does not depend on the others. The iteration count is the
     number of maps, at most ``cfg.max_iterations``; when fewer than three
-    remain, untested plain maps fill the cap. Returns the best restart's
-    directions and value, the iteration count, and whether the rule fired.
+    remain, untested plain maps fill the cap. Returns one (directions a,
+    directions b, value, iterations, converged) tuple per group, from its
+    best restart; ``converged`` says the rule, not the cap, stopped it.
     """
+    results: list = [None] * len(b_dirs)
+    ids = np.arange(len(b_dirs))
+    live: slice | np.ndarray = slice(None)
+    values = np.full(b_dirs.shape[:2], -np.inf)
+    iterations = 0
 
     def step(a, b):
-        a = update_a(a, b)
-        b, v = update_b(a, b)
+        a = update_a(live, a, b)
+        b, v = update_b(live, a, b)
         return a, b, v
 
-    values = np.full(cfg.restarts, -np.inf)
-    iterations, converged = 0, False
-    while not converged and iterations < cfg.max_iterations:
+    def retire(stop: np.ndarray, converged: np.ndarray) -> None:
+        nonlocal ids, live, a_dirs, b_dirs, values
+        best = values.argmax(axis=1)
+        for lane in np.flatnonzero(stop):
+            results[ids[lane]] = (
+                a_dirs[lane, best[lane]],
+                b_dirs[lane, best[lane]],
+                float(values[lane, best[lane]]),
+                iterations,
+                bool(converged[lane]),
+            )
+        keep = ~stop
+        ids = live = ids[keep]
+        if len(ids):
+            a_dirs, b_dirs, values = a_dirs[keep], b_dirs[keep], values[keep]
+
+    while len(ids):
         if retract is None or cfg.max_iterations - iterations < 3:
             a_dirs, b_dirs, new_values = step(a_dirs, b_dirs)
             iterations += 1
-            converged = retract is None and bool((new_values - values <= cfg.value_tolerance).all())
+            done = (new_values - values <= cfg.value_tolerance).all(axis=1) & (retract is None)
         else:
             b0 = b_dirs
             a1, b1, v1 = step(a_dirs, b0)
             a_dirs, b_dirs, new_values = step(a1, b1)
             iterations += 2
-            # The first cycle's start has no value: stop where the plain loop would.
-            converged = iterations == 2 and bool((new_values - v1 <= cfg.value_tolerance).all())
-            if not converged:
-                a3, b3, v3 = step(a_dirs, retract(_squarem_point(b0, b1, b_dirs)))
-                iterations += 1
-                keep = (v3 >= new_values)[:, None, None]
-                a_dirs, b_dirs = np.where(keep, a3, a_dirs), np.where(keep, b3, b_dirs)
-                new_values = np.fmax(new_values, v3)
-                converged = bool((new_values - values <= cfg.value_tolerance).all())
+            if iterations == 2:
+                # The first cycle's start has no value: stop where the plain loop would.
+                first = (new_values - v1 <= cfg.value_tolerance).all(axis=1)
+                if first.any():
+                    values[first] = new_values[first]
+                    retire(first, first)
+                    if not len(ids):
+                        break
+                    b0, b1, new_values = b0[~first], b1[~first], new_values[~first]
+            a3, b3, v3 = step(a_dirs, retract(_squarem_point(b0, b1, b_dirs)))
+            iterations += 1
+            keep = (v3 >= new_values)[..., None, None]
+            a_dirs, b_dirs = np.where(keep, a3, a_dirs), np.where(keep, b3, b_dirs)
+            new_values = np.fmax(new_values, v3)
+            done = (new_values - values <= cfg.value_tolerance).all(axis=1)
         values = np.maximum(values, new_values)
-    best = int(np.argmax(values))
-    return a_dirs[best], b_dirs[best], float(values[best]), iterations, converged
+        capped = iterations >= cfg.max_iterations
+        if capped or done.any():
+            retire(done | capped, done)
+    return results
 
 
 def optimize_functional_value(
@@ -415,32 +468,51 @@ def optimize_functional_value(
     the A marginal term. All restarts advance in lockstep through safeguarded
     SQUAREM cycles of ``_seesaw``, which defines ``converged``.
     """
-    m, n = f.shape
-    r_a, r_b, t = _two_qubit_moments(rho, "optimize_functional_value")
-    to_a = np.kron(f.alpha.T, t.T)
-    to_b = np.kron(f.alpha, t)
-    shift_a = np.kron(f.beta, r_a)
-    shift_b = np.kron(f.gamma, r_b)
-
-    def update_a(_, b_dirs):
-        grad = b_dirs.reshape(len(b_dirs), -1) @ to_a + shift_a
-        return _normalize_rows(grad.reshape(-1, m, 3))
-
-    def update_b(a_dirs, _):
-        a_flat = a_dirs.reshape(len(a_dirs), -1)
-        grad = (a_flat @ to_b + shift_b).reshape(-1, n, 3)
-        b_dirs = _normalize_rows(grad)
-        return b_dirs, np.einsum("rny,rny->r", b_dirs, grad) + a_flat @ shift_a
-
     cfg = OptimizerConfig(
         restarts=restarts, max_iterations=max_iterations, value_tolerance=value_tolerance, seed=seed
     )
-    a_best, b_best, value, iterations, converged = _seesaw(
-        update_a, update_b, None, _gaussian_directions(n, cfg), cfg, _normalize_rows
-    )
-    return BellOptimum(
-        value=value,
-        scenario=scenario_from_directions(a_best, b_best),
-        iterations=iterations,
-        converged=converged,
-    )
+    return _optimize_functional_values([rho], f, [cfg])[0]
+
+
+def _optimize_functional_values(rhos, f: BellFunctional, cfgs) -> list[BellOptimum]:
+    """``optimize_functional_value`` of each state, stacked as groups of one ``_seesaw`` call.
+
+    ``cfgs`` holds one config per state; they may differ only in seed. Each
+    state's optimum is bit for bit the one it reaches alone.
+    """
+    cfg = _shared_config(cfgs)
+    m, n = f.shape
+    moments = [_two_qubit_moments(rho, "optimize_functional_value") for rho in rhos]
+    r_a, r_b, t = (np.array([moment[part] for moment in moments]) for part in range(3))
+    # Per-state Kronecker products, each entry the one product np.kron forms.
+    to_a = (f.alpha.T[:, None, :, None] * t.swapaxes(1, 2)[:, None, :, None, :]).reshape(-1, 3 * n, 3 * m)
+    to_b = (f.alpha[:, None, :, None] * t[:, None, :, None, :]).reshape(-1, 3 * m, 3 * n)
+    shift_a = (f.beta[:, None] * r_a[:, None, :]).reshape(-1, 1, 3 * m)
+    shift_a_col = shift_a.reshape(-1, 3 * m, 1)
+    shift_b = (f.gamma[:, None] * r_b[:, None, :]).reshape(-1, 1, 3 * n)
+
+    def update_a(live, _, b_dirs):
+        groups, restarts = b_dirs.shape[:2]
+        grad = b_dirs.reshape(groups, restarts, -1) @ to_a[live] + shift_a[live]
+        return _normalize_rows(grad.reshape(groups, restarts, m, 3))
+
+    def update_b(live, a_dirs, _):
+        groups, restarts = a_dirs.shape[:2]
+        a_flat = a_dirs.reshape(groups, restarts, -1)
+        grad = (a_flat @ to_b[live] + shift_b[live]).reshape(groups, restarts, n, 3)
+        b_dirs = _normalize_rows(grad)
+        marginal = (a_flat @ shift_a_col[live])[..., 0]
+        return b_dirs, np.einsum("grny,grny->gr", b_dirs, grad) + marginal
+
+    starts = np.array([_gaussian_directions(n, c) for c in cfgs])
+    return [
+        BellOptimum(
+            value=value,
+            scenario=scenario_from_directions(a_best, b_best),
+            iterations=iterations,
+            converged=converged,
+        )
+        for a_best, b_best, value, iterations, converged in _seesaw(
+            update_a, update_b, None, starts, cfg, _normalize_rows
+        )
+    ]

@@ -10,17 +10,18 @@ import numpy as np
 
 from .states import DensityMatrix, bloch_vector, horodecki
 from .bell import (
+    _optimize_functional_values,
     chsh_settings,
     normalized_value,
-    optimize_functional_value,
     preset_functional,
 )
 from .witness import (
     OptimizerConfig,
+    WitnessReport,
+    _sym_sup_fields,
     bound_geometry_free,
     mermin_lpo_witness,
     mermin_value,
-    sym_sup,
     sym_value_fixed,
 )
 
@@ -39,17 +40,20 @@ def _horodecki(rho, cache):
     return cache["horodecki"]
 
 
-def _c3322_optimum(rho, cfg, cache):
-    if "c3322_opt" not in cache:
-        cache["c3322_opt"] = optimize_functional_value(
-            rho,
-            preset_functional("c3322"),
-            restarts=cfg.restarts,
-            seed=cfg.seed,
-            max_iterations=cfg.max_iterations,
-            value_tolerance=cfg.value_tolerance,
-        )
-    return cache["c3322_opt"]
+# The optimized intermediates, each shared by the quantities that read it.
+# A producer maps lists of states and of configs that differ only in seed
+# to one entry per state, stacking the optimizations in one see-saw call;
+# each entry is bit for bit the one its state gets alone.
+_PRODUCERS = {
+    "c3322_opt": lambda rhos, cfgs: _optimize_functional_values(rhos, preset_functional("c3322"), cfgs),
+    "chsh_sym_sup": lambda rhos, cfgs: _sym_sup_fields(rhos, preset_functional("chsh"), "free", cfgs),
+}
+
+
+def _shared(key, rho, cfg, cache):
+    if key not in cache:
+        cache[key] = _PRODUCERS[key]([rho], [cfg])[0]
+    return cache[key]
 
 
 def _s_chsh(rho, cfg, cache):
@@ -58,17 +62,17 @@ def _s_chsh(rho, cfg, cache):
 
 
 def _s_chsh_lpo(rho, cfg, cache):
-    report = sym_sup(rho, preset_functional("chsh"), "free", cfg)
+    report = WitnessReport(**_shared("chsh_sym_sup", rho, cfg, cache))
     return report.value, report.bounds, report.converged
 
 
 def _i3322_tilde(rho, cfg, cache):
-    opt = _c3322_optimum(rho, cfg, cache)
+    opt = _shared("c3322_opt", rho, cfg, cache)
     return opt.value / 4.0, (("lhv", 1.0),), opt.converged
 
 
 def _c3322(rho, cfg, cache):
-    opt = _c3322_optimum(rho, cfg, cache)
+    opt = _shared("c3322_opt", rho, cfg, cache)
     return opt.value, (("lhv", 4.0),), opt.converged
 
 
@@ -111,13 +115,15 @@ class _Quantity:
 
     The state must have exactly ``parties`` qubits, or, with ``at_least``,
     at least ``parties`` parties of any dimension. The evaluator maps
-    (rho, cfg, cache) to (value, bounds, converged).
+    (rho, cfg, cache) to (value, bounds, converged); ``shared`` names the
+    ``_PRODUCERS`` intermediate it reads, if any.
     """
 
     parties: int
     evaluate: Callable
     witness: bool = False
     at_least: bool = False
+    shared: str | None = None
 
 
 # One table, in report order. A witness quantity's emitted bounds are true
@@ -125,9 +131,9 @@ class _Quantity:
 # classical bound, which values may exceed.
 _REGISTRY = {
     "s_chsh": _Quantity(2, _s_chsh),
-    "s_chsh_lpo": _Quantity(2, _s_chsh_lpo, witness=True),
-    "i3322_tilde": _Quantity(2, _i3322_tilde),
-    "c3322": _Quantity(2, _c3322),
+    "s_chsh_lpo": _Quantity(2, _s_chsh_lpo, witness=True, shared="chsh_sym_sup"),
+    "i3322_tilde": _Quantity(2, _i3322_tilde, shared="c3322_opt"),
+    "c3322": _Quantity(2, _c3322, shared="c3322_opt"),
     "i2222_tilde": _Quantity(2, _i2222_tilde),
     "i2222_lpo_tilde": _Quantity(2, _i2222_lpo_tilde, witness=True),
     "horodecki_m": _Quantity(2, _horodecki_m),
@@ -152,6 +158,25 @@ def _compute(name: str, rho: DensityMatrix, cfg: OptimizerConfig, cache) -> Quan
     if not q.at_least and rho.dims != (2,) * q.parties:
         raise ValueError(f"quantity {name!r} needs a {_COUNT_WORDS[q.parties]}-qubit state")
     return QuantityResult(name, *q.evaluate(rho, cfg, cache))
+
+
+def _fill_shared(names, points) -> None:
+    """Run each producer that ``names`` read once over all the (rho, cfg, cache) ``points``.
+
+    Each point's entry goes into its cache. If a producer raises (on a
+    state it cannot take, say), nothing is stored, and each point meets its
+    own error when its quantities are evaluated.
+    """
+    if not points:
+        return
+    rhos, cfgs, caches = zip(*points)
+    for key in dict.fromkeys(q.shared for q in map(_REGISTRY.get, names) if q.shared):
+        try:
+            entries = _PRODUCERS[key](rhos, cfgs)
+        except (ValueError, ArithmeticError):
+            continue
+        for cache, entry in zip(caches, entries):
+            cache[key] = entry
 
 
 def compute_quantities(

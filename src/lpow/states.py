@@ -17,13 +17,18 @@ _BISECTION_RTOL = 4.0 * np.finfo(float).eps
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, PSD, unit-trace matrix over an explicit qubit factorization."""
+    """Hermitian, PSD, unit-trace matrix over an explicit qubit factorization.
+
+    The matrix is a read-only copy of the one given, so the per-state caches
+    of marginals and first moments always describe it.
+    """
 
     matrix: np.ndarray
     dims: tuple[int, ...] = (2, 2)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex)
+        m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         total = math.prod(self.dims)
@@ -43,19 +48,16 @@ class DensityMatrix:
         return len(self.dims)
 
     def marginal(self, party: int) -> "DensityMatrix":
-        """Single-party reduced state, built and validated once per state; its matrix is read-only."""
+        """Single-party reduced state, built and validated once per state."""
         if not 0 <= party < self.n_parties:
             raise ValueError(f"party {party} out of range for {self.n_parties} parties")
         return self._marginals[party]
 
     @cached_property
     def _marginals(self) -> tuple["DensityMatrix", ...]:
-        marginals = tuple(
+        return tuple(
             DensityMatrix(partial_trace(self.matrix, self.dims, (k,)), (d,)) for k, d in enumerate(self.dims)
         )
-        for rho in marginals:
-            rho.matrix.flags.writeable = False
-        return marginals
 
     @cached_property
     def _first_moments(self) -> tuple[np.ndarray, ...]:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .quantities import QUANTITY_NAMES, _compute
+from .quantities import QUANTITY_NAMES, _compute, _fill_shared
 from .states import make_state
 from .bell import OptimizerConfig
 
@@ -64,51 +64,44 @@ def point_seed(global_seed: int, index: int) -> int:
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate all quantities on the grid.
 
-    Points run one after another in index order, each with its own seed
-    derived from the point index. A point's quantities share one cache of
-    intermediates (one ``c3322`` optimization serves ``c3322`` and
-    ``i3322_tilde``), as in ``compute_quantities``. A failed or
-    non-converged cell becomes NaN with a warning instead of aborting the
-    sweep.
+    Each point has its own seed derived from the point index. Every point
+    whose state was built joins one stacked optimization per shared
+    intermediate (one ``c3322`` see-saw serves ``c3322`` and
+    ``i3322_tilde``; one ``sym_sup`` serves ``s_chsh_lpo``), whose result
+    for a point is bit for bit the one it gets alone, as in
+    ``compute_quantities``. The points' quantities are then evaluated one
+    after another in index order. A failed or non-converged cell becomes
+    NaN with a warning instead of aborting the sweep.
     """
     values = spec.grid_values()
     warnings: list[str] = []
-
-    def evaluate(index: int) -> tuple[list[float], list[str]]:
-        point_cfg = replace(spec.optimizer, seed=point_seed(spec.optimizer.seed, index))
-        notes: list[str] = []
+    table = {name: np.full(len(values), math.nan) for name in spec.quantities}
+    points: dict[int, tuple] = {}
+    failed: dict[int, str] = {}
+    for index, value in enumerate(values):
+        params = {**spec.fixed_params, spec.sweep_param: float(value)}
         try:
-            params = dict(spec.fixed_params)
-            params[spec.sweep_param] = float(values[index])
             rho = make_state(spec.family, **params)
         except ValueError as exc:
-            notes.append(f"point {index} ({spec.sweep_param}={format_float(values[index])}): {exc}")
-            return [math.nan] * len(spec.quantities), notes
-        row: list[float] = []
-        cache: dict[str, object] = {}
+            failed[index] = f"point {index} ({spec.sweep_param}={format_float(value)}): {exc}"
+            continue
+        points[index] = (rho, replace(spec.optimizer, seed=point_seed(spec.optimizer.seed, index)), {})
+    _fill_shared(spec.quantities, list(points.values()))
+
+    for index in range(len(values)):
+        if index in failed:
+            warnings.append(failed[index])
+            continue
         for name in spec.quantities:
             try:
-                result = _compute(name, rho, point_cfg, cache)
+                result = _compute(name, *points[index])
             except (ValueError, ArithmeticError) as exc:
-                notes.append(f"point {index}, quantity {name}: {exc}")
-                row.append(math.nan)
+                warnings.append(f"point {index}, quantity {name}: {exc}")
                 continue
-            if not result.converged:
-                notes.append(
-                    f"point {index}, quantity {name}: optimizer did not converge; recording NaN"
-                )
-                row.append(math.nan)
+            if result.converged:
+                table[name][index] = result.value
             else:
-                row.append(result.value)
-        return row, notes
-
-    rows = [evaluate(index) for index in range(len(values))]
-    table = {
-        name: np.array([rows[i][0][j] for i in range(len(values))])
-        for j, name in enumerate(spec.quantities)
-    }
-    for _, notes in rows:
-        warnings.extend(notes)
+                warnings.append(f"point {index}, quantity {name}: optimizer did not converge; recording NaN")
     return SweepResult(spec=spec, param_values=values, table=table, warnings=tuple(warnings))
 
 

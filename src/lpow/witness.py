@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,7 @@ from .bell import (
     _gaussian_directions,
     _normalize_rows,
     _seesaw,
+    _shared_config,
     _sign_vertices,
     _vertex_max,
     bilinear_value,
@@ -146,10 +148,11 @@ def _setting_forms(r: np.ndarray, w: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Per-setting 3x3 forms M_k = sym(r w_k^T) + q_k r r^T, batched over w (..., k, 3).
 
     With the other party's directions fixed, setting k contributes
-    (u.r)(u.w_k) + q_k (u.r)^2 = u^T M_k u to the two-sided witness.
+    (u.r)(u.w_k) + q_k (u.r)^2 = u^T M_k u to the two-sided witness. ``r``
+    broadcasts against the rows of ``w``: (3,), or (groups, 1, 1, 3).
     """
-    rw = r[:, None] * w[..., None, :]
-    return 0.5 * (rw + rw.swapaxes(-1, -2)) + q[:, None, None] * np.outer(r, r)
+    rw = r[..., :, None] * w[..., None, :]
+    return 0.5 * (rw + rw.swapaxes(-1, -2)) + q[:, None, None] * (r[..., :, None] * r[..., None, :])
 
 
 def _unit_normal(u: np.ndarray) -> np.ndarray:
@@ -164,32 +167,48 @@ def _unit_normal(u: np.ndarray) -> np.ndarray:
     return np.array([1.0 + sign * x * x * a, sign * x * y * a, -sign * x])
 
 
-def _top_eigenpairs(r: np.ndarray, w: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit u_k maximizing u_k^T M_k u_k for M_k = sym(r w_k^T) + q_k r r^T, batched over w (..., k, 3).
+def _plane_axes(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The per-group constants of ``_top_eigenpairs`` for a (groups, 3) stack of vectors r.
 
-    M_k vanishes outside span{r, w_k}. In the orthonormal basis r^ = r/|r|,
-    p = w_perp/|w_perp| of that plane it is [[tau, h], [h, 0]], with
-    w_perp = w - (w.r^) r^, tau = q|r|^2 + r.w and h = |r||w_perp|/2. So
-    the maximum is lambda = (tau + d)/2 >= 0, d = sqrt(tau^2 + 4h^2), with
-    eigenvector lambda r^ + h p; for tau < 0 both are formed without
-    cancellation, as lambda = 2h^2/(d - tau) and 2h r^ + (d - tau) p. The
-    projection off r^ is taken twice, so p stays orthogonal to r^ when w is
-    nearly parallel to r; a w_perp at rounding level relative to w is
-    replaced by a fixed unit vector orthogonal to r, with h = 0. The zero
-    form (r = 0, or w parallel to r with tau = 0) returns r^ (+z for r = 0)
-    with lambda = 0. Returns (vectors (..., k, 3), maxima (..., k)); the
-    vector's sign is immaterial because the form is even in u.
+    Returns |r| (groups, 1, 1), r^ = r/|r| (+z for r = 0) and a fixed unit
+    normal to r^ (both groups, 1, 1, 3), shaped to broadcast over (groups,
+    restarts, k, 3) batches.
     """
-    norm_r = float(np.linalg.norm(r))
-    unit_r = r / norm_r if norm_r > 0.0 else _Z
-    along = w @ unit_r
+    norms = [math.sqrt(v.dot(v)) for v in r]  # np.linalg.norm(v) bit for bit: sqrt(v.dot(v))
+    units = [v / norm if norm > 0.0 else _Z for v, norm in zip(r, norms)]
+    normals = [_unit_normal(u) for u in units]
+    return (
+        np.array(norms)[:, None, None],
+        np.array(units)[:, None, None, :],
+        np.array(normals)[:, None, None, :],
+    )
+
+
+def _top_eigenpairs(axes, w: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit u_k maximizing u_k^T M_k u_k for M_k = sym(r w_k^T) + q_k r r^T.
+
+    Batched over w (groups, restarts, k, 3); ``axes`` holds each group's
+    ``_plane_axes`` of r. M_k vanishes outside span{r, w_k}. In the
+    orthonormal basis r^ = r/|r|, p = w_perp/|w_perp| of that plane it is
+    [[tau, h], [h, 0]], with w_perp = w - (w.r^) r^, tau = q|r|^2 + r.w and
+    h = |r||w_perp|/2. So the maximum is lambda = (tau + d)/2 >= 0,
+    d = sqrt(tau^2 + 4h^2), with eigenvector lambda r^ + h p; for tau < 0
+    both are formed without cancellation, as lambda = 2h^2/(d - tau) and
+    2h r^ + (d - tau) p. The projection off r^ is taken twice, so p stays
+    orthogonal to r^ when w is nearly parallel to r; a w_perp at rounding
+    level relative to w is replaced by a fixed unit vector orthogonal to r,
+    with h = 0. The zero form (r = 0, or w parallel to r with tau = 0)
+    returns r^ (+z for r = 0) with lambda = 0. Returns (vectors (..., k, 3),
+    maxima (..., k)); the vector's sign is immaterial because the form is
+    even in u.
+    """
+    norm_r, unit_r, normal = axes
+    along = (w @ unit_r.swapaxes(-1, -2))[..., 0]
     perp = w - along[..., None] * unit_r
-    perp -= (perp @ unit_r)[..., None] * unit_r
+    perp -= (perp @ unit_r.swapaxes(-1, -2)) * unit_r
     norm_perp = np.sqrt(np.einsum("...i,...i->...", perp, perp))
     flat = norm_perp <= _ROUNDING * np.sqrt(np.einsum("...i,...i->...", w, w))
-    perp = np.where(
-        flat[..., None], _unit_normal(unit_r), perp / np.where(flat, 1.0, norm_perp)[..., None]
-    )
+    perp = np.where(flat[..., None], normal, perp / np.where(flat, 1.0, norm_perp)[..., None])
     two_h = np.where(flat, 0.0, norm_r * norm_perp)
     tau = norm_r * (along + q * norm_r)
     big = np.hypot(tau, two_h) + np.abs(tau)
@@ -265,66 +284,82 @@ def sym_sup(
     positive quadratic coefficient), the optimization is skipped.
     ``converged`` describes the reported restart.
     """
+    return WitnessReport(**_sym_sup_fields([rho], f, constraint, [cfg or OptimizerConfig()])[0])
+
+
+def _sym_sup_fields(rhos, f: BellFunctional, constraint: str, cfgs) -> list[dict]:
+    """``WitnessReport`` fields of ``sym_sup`` for each state, optimized as groups of one ``_seesaw`` call.
+
+    ``cfgs`` holds one config per state; they may differ only in seed. Each
+    state's fields are bit for bit those it gets alone. The caller builds
+    the reports, whose bound check may raise for one state and not another.
+    """
     if constraint not in ("free", "orthogonal"):
         raise ValueError(f"unknown constraint {constraint!r}")
-    cfg = cfg or OptimizerConfig()
     m, n = f.shape
-    r_a, r_b, t = _two_qubit_moments(rho, "sym_sup")
-
-    bounds = [("geometry_free", bound_geometry_free(rho, f))]
-    if constraint == "orthogonal":
-        if max(m, n) > 3:
-            raise ValueError("orthogonal mode supports at most 3 settings per party")
-        bounds.append(("orthogonal", bound_orthogonal(rho, f)))
-
-    if bounds[-1][1] <= DEGENERATE_NORM:
-        return WitnessReport(
-            value=0.0,
-            optimizing_scenario=None,
-            bounds=tuple(bounds),
-            restarts_used=0,
-            converged=True,
+    moments = [_two_qubit_moments(rho, "sym_sup") for rho in rhos]
+    if constraint == "orthogonal" and max(m, n) > 3:
+        raise ValueError("orthogonal mode supports at most 3 settings per party")
+    fields = []
+    for rho in rhos:
+        bounds = [("geometry_free", bound_geometry_free(rho, f))]
+        if constraint == "orthogonal":
+            bounds.append(("orthogonal", bound_orthogonal(rho, f)))
+        fields.append(
+            dict(value=0.0, optimizing_scenario=None, bounds=tuple(bounds), restarts_used=0, converged=True)
         )
+    # A cap that already pins the witness to zero skips the optimization.
+    run = [i for i, entry in enumerate(fields) if entry["bounds"][-1][1] > DEGENERATE_NORM]
+    if not run:
+        return fields
+    cfg = _shared_config([cfgs[i] for i in run])
+    r_a, r_b, t = (np.array([moments[i][part] for i in run]) for part in range(3))
+    col_a, col_b = r_a[:, None, :, None], r_b[:, None, :, None]
+    t_t, t = t.swapaxes(1, 2)[:, None], t[:, None]
 
     if constraint == "free":
         alpha, beta, gamma = f.alpha, f.beta, f.gamma
+        axes_a, axes_b = _plane_axes(r_a), _plane_axes(r_b)
 
-        def maximize(_, r, w, q):
-            return _top_eigenpairs(r, w, q)
+        def maximize(live, _, axes, w, q):
+            return _top_eigenpairs(tuple(c[live] for c in axes), w, q)
 
-        a_start, b_start, retract = None, _gaussian_directions(n, cfg), _normalize_rows
+        a_start, retract = None, _normalize_rows
+        b_start = np.array([_gaussian_directions(n, cfgs[i]) for i in run])
     else:
         alpha = np.pad(f.alpha, ((0, 3 - m), (0, 3 - n)))
         beta = np.pad(f.beta, (0, 3 - m))
         gamma = np.pad(f.gamma, (0, 3 - n))
+        axes_a, axes_b = r_a[:, None, None, :], r_b[:, None, None, :]
 
-        def maximize(frame, r, w, q):
-            return _jacobi_sweep(frame, _setting_forms(r, w, q))
+        def maximize(live, frame, r, w, q):
+            return _jacobi_sweep(frame, _setting_forms(r[live], w, q))
 
-        a_start, b_start = _random_frames(cfg)
+        a_start, b_start = np.stack([_random_frames(cfgs[i]) for i in run], axis=1)
         retract = None
 
-    def update_a(a_dirs: np.ndarray, b_dirs: np.ndarray) -> np.ndarray:
+    def update_a(live, a_dirs: np.ndarray, b_dirs: np.ndarray) -> np.ndarray:
         # w_x = sum_y alpha_xy (b_y . r_B) T b_y
-        w = (alpha * (b_dirs @ r_b)[:, None, :]) @ (b_dirs @ t.T)
-        return maximize(a_dirs, r_a, w, beta)[0]
+        w = (alpha * (b_dirs @ col_b[live])[..., None, :, 0]) @ (b_dirs @ t_t[live])
+        return maximize(live, a_dirs, axes_a, w, beta)[0]
 
-    def update_b(a_dirs: np.ndarray, b_dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        a = a_dirs @ r_a
-        w = (alpha.T * a[:, None, :]) @ (a_dirs @ t)
-        b_dirs, forms = maximize(b_dirs, r_b, w, gamma)
+    def update_b(live, a_dirs: np.ndarray, b_dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        a = (a_dirs @ col_a[live])[..., 0]
+        w = (alpha.T * a[..., None, :]) @ (a_dirs @ t[live])
+        b_dirs, forms = maximize(live, b_dirs, axes_b, w, gamma)
         return b_dirs, forms.sum(axis=-1) + (a**2) @ beta
 
-    a_best, b_best, value, _, converged = _seesaw(update_a, update_b, a_start, b_start, cfg, retract)
-    return WitnessReport(
-        value=value,
-        optimizing_scenario=scenario_from_directions(
-            a_best[:m], b_best[:n], orthogonal=(constraint == "orthogonal")
-        ),
-        bounds=tuple(bounds),
-        restarts_used=cfg.restarts,
-        converged=converged,
-    )
+    optima = _seesaw(update_a, update_b, a_start, b_start, cfg, retract)
+    for i, (a_best, b_best, value, _, converged) in zip(run, optima):
+        fields[i].update(
+            value=value,
+            optimizing_scenario=scenario_from_directions(
+                a_best[:m], b_best[:n], orthogonal=(constraint == "orthogonal")
+            ),
+            restarts_used=cfg.restarts,
+            converged=converged,
+        )
+    return fields
 
 
 MERMIN_SIGNS = {

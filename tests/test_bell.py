@@ -27,7 +27,7 @@ from lpow import (
 )
 from lpow import QubitObservable
 from lpow.states import ghz, make_state, sigma_state, singlet, transition, werner
-from lpow.bell import _vertex_max
+from lpow.bell import _normalize_rows, _vertex_max
 from util import (
     assert_means_match_traces,
     ginibre_state,
@@ -36,6 +36,7 @@ from util import (
     reference_i2222_probability_value,
     reference_i3322_probability_value,
     reference_lhv_bound,
+    reference_masked_normalize_rows,
 )
 
 
@@ -205,6 +206,25 @@ class TestVertexKernel:
             assert value == scores[best]
             assert np.array_equal(np.concatenate([a, b]), vertices[best])
         assert ties > 100
+
+
+class TestNormalizeRows:
+    def test_bit_identical_to_masked_form(self, rng):
+        # Random scales, plus zero, 1e-15, boundary and NaN rows that take
+        # the masked +z path; the float.hex of every entry must agree.
+        for index in range(300):
+            shape = [(64, 3, 3), (6, 64, 2, 3), (2, 16, 3, 3)][index % 3]
+            v = rng.normal(size=shape) * 10.0 ** rng.uniform(-16, 8)
+            if index % 2:
+                rows = v.reshape(-1, 3)
+                picks = rng.choice(len(rows), size=4, replace=False)
+                rows[picks[0]] = 0.0
+                rows[picks[1]] = 1e-15 * rng.normal(size=3)
+                rows[picks[2]] = [1e-14, 0.0, 0.0]
+                if index % 3 == 1:
+                    rows[picks[3], rng.integers(3)] = np.nan
+            got, want = _normalize_rows(v), reference_masked_normalize_rows(v)
+            assert [x.hex() for x in got.ravel()] == [x.hex() for x in want.ravel()]
 
 
 class TestJointProbabilities:

@@ -26,7 +26,7 @@ from lpow import (
     sym_sup,
     sym_value_fixed,
 )
-from lpow.bell import _Z, _seesaw
+from lpow.bell import _Z, _optimize_functional_values, _seesaw
 from lpow.states import cg, cg_lambda, maximally_mixed, singlet, transition, werner
 from lpow.sweeps import point_seed
 from util import ginibre_state, reference_functional_seesaw, reference_witness_seesaw
@@ -42,8 +42,8 @@ SKEW_2X3 = BellFunctional(
 )
 
 
-def assert_functional_not_below_reference(rho, f, cfg):
-    opt = optimize_functional_value(
+def assert_functional_not_below_reference(rho, f, cfg, opt=None):
+    opt = opt or optimize_functional_value(
         rho, f, restarts=cfg.restarts, seed=cfg.seed, max_iterations=cfg.max_iterations
     )
     _, _, value, _, converged = reference_functional_seesaw(rho, f, cfg)
@@ -101,7 +101,8 @@ def test_ginibre_states_match_reference(name):
 def test_rejected_extrapolations_keep_the_plain_ascent(monkeypatch):
     # Every extrapolated point is retracted to all +z rows instead, so the
     # safeguard must refuse each extrapolation that scores below the plain
-    # second map; the values stay monotone and reach the reference optimum.
+    # second map; the values stay monotone and reach the reference optimum,
+    # for states run alone and stacked as groups of one call.
     def scrambled(update_a, update_b, a_dirs, b_dirs, cfg, retract):
         def to_z(dirs):
             return np.broadcast_to(_Z, dirs.shape)
@@ -111,8 +112,12 @@ def test_rejected_extrapolations_keep_the_plain_ascent(monkeypatch):
     monkeypatch.setattr(lpow.bell, "_seesaw", scrambled)
     f = preset_functional("c3322")
     rng = np.random.default_rng(44)
-    for index in range(5):
-        assert_functional_not_below_reference(ginibre_state(rng), f, OptimizerConfig(restarts=16, seed=index))
+    states = [ginibre_state(rng) for _ in range(5)]
+    cfgs = [OptimizerConfig(restarts=16, seed=index) for index in range(5)]
+    for rho, cfg, opt in zip(states, cfgs, _optimize_functional_values(states, f, cfgs)):
+        alone = assert_functional_not_below_reference(rho, f, cfg)
+        assert_functional_not_below_reference(rho, f, cfg, opt)
+        assert (opt.value, opt.iterations) == (alone.value, alone.iterations)
 
 
 class TestDegenerateGradients:

@@ -88,6 +88,17 @@ class TestDensityMatrixValidation:
         assert np.allclose(rho.marginal(1).matrix, projector(w))
         assert rho.n_parties == 2
 
+    def test_matrix_is_a_read_only_copy(self):
+        given = singlet().matrix.copy()
+        rho = DensityMatrix(given)
+        m_value = horodecki(rho).m_value
+        given[:] = np.eye(4) / 4.0
+        assert horodecki(rho).m_value == m_value
+        with pytest.raises(ValueError, match="read-only"):
+            rho.matrix[:] = np.eye(4) / 4.0
+        assert horodecki(rho).m_value == m_value
+        assert horodecki(DensityMatrix(given)).m_value == 0.0
+
 
 class TestObservables:
     def test_direction_must_be_unit(self):

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-import lpow.quantities
-from lpow import OptimizerConfig, compute_quantities
+import lpow.bell
+from lpow import OptimizerConfig, compute_quantities, preset_functional, sym_sup
 from lpow.states import make_state
 from lpow.sweeps import (
     SweepSpec,
@@ -98,6 +99,25 @@ class TestRunSweep:
         assert len(result.warnings) == 5
         assert "mermin" in result.warnings[0]
 
+    def test_optimized_quantities_on_three_qubits_become_nan_with_warnings(self):
+        # The stacked optimizations cannot take a three-qubit state, so each
+        # cell meets the registry's own arity error.
+        spec = small_spec(
+            family="pure_product",
+            sweep_param="theta_a",
+            grid=(0.0, 1.0, 3),
+            quantities=("c3322", "s_chsh_lpo", "mermin"),
+            fixed_params=dict(phi_a=0.0, theta_b=0.3, phi_b=0.1, theta_c=0.2, phi_c=0.0),
+        )
+        result = run_sweep(spec)
+        assert np.isnan(result.table["c3322"]).all() and np.isnan(result.table["s_chsh_lpo"]).all()
+        assert np.isfinite(result.table["mermin"]).all()
+        assert result.warnings == tuple(
+            f"point {i}, quantity {name}: quantity {name!r} needs a two-qubit state"
+            for i in range(3)
+            for name in ("c3322", "s_chsh_lpo")
+        )
+
     def test_family_domain_error_becomes_nan_row(self):
         spec = small_spec(grid=(-0.5, 1.0, 4))
         result = run_sweep(spec)
@@ -106,6 +126,8 @@ class TestRunSweep:
         assert any("(p=-0.5)" in w for w in result.warnings)
 
     def test_point_shares_one_optimization_across_quantities(self, monkeypatch):
+        # The sweep runs one see-saw call for its c3322 optimizations, with
+        # one group per point, shared by both quantities.
         spec = SweepSpec(
             family="cg",
             sweep_param="theta",
@@ -113,16 +135,16 @@ class TestRunSweep:
             quantities=("c3322", "i3322_tilde"),
             optimizer=FAST,
         )
-        calls = []
-        optimize = lpow.quantities.optimize_functional_value
+        groups = []
+        seesaw = lpow.bell._seesaw
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return optimize(*args, **kwargs)
+        def counting(update_a, update_b, a_dirs, b_dirs, *args):
+            groups.append(len(b_dirs))
+            return seesaw(update_a, update_b, a_dirs, b_dirs, *args)
 
-        monkeypatch.setattr(lpow.quantities, "optimize_functional_value", counting)
+        monkeypatch.setattr(lpow.bell, "_seesaw", counting)
         result = run_sweep(spec)
-        assert len(calls) == 3
+        assert groups == [3]
         monkeypatch.undo()
         for i, theta in enumerate(result.param_values):
             cfg = OptimizerConfig(restarts=FAST.restarts, seed=point_seed(FAST.seed, i))
@@ -130,6 +152,56 @@ class TestRunSweep:
             for name in spec.quantities:
                 alone = compute_quantities([name], rho, cfg)[0].value
                 assert result.table[name][i].tobytes() == np.float64(alone).tobytes()
+
+    def test_stacked_points_match_points_alone(self):
+        # p = -0.25 fails to build and joins no optimization; p = 0 is the
+        # triplet, whose unpolarized marginals short-circuit sym_sup.
+        spec = SweepSpec(
+            family="transition",
+            sweep_param="p",
+            grid=(-0.25, 1.0, 6),
+            quantities=("i3322_tilde", "s_chsh_lpo", "c3322"),
+            optimizer=OptimizerConfig(restarts=16, seed=3),
+        )
+        result = run_sweep(spec)
+        assert result.warnings == ("point 0 (p=-0.25): p must lie in [0, 1], got -0.25",)
+        assert np.isnan([result.table[name][0] for name in spec.quantities]).all()
+        assert result.param_values[1] == 0.0
+        for i in range(1, 6):
+            cfg = OptimizerConfig(restarts=16, seed=point_seed(3, i))
+            rho = make_state("transition", p=result.param_values[i])
+            if i == 1:
+                assert sym_sup(rho, preset_functional("chsh"), "free", cfg).restarts_used == 0
+            for j, alone in enumerate(compute_quantities(spec.quantities, rho, cfg)):
+                assert result.table[spec.quantities[j]][i].tobytes() == np.float64(alone.value).tobytes()
+
+    def test_iteration_cap_fails_only_the_capped_points(self):
+        cfg = OptimizerConfig(restarts=16, seed=4, max_iterations=17)
+        spec = SweepSpec(
+            family="transition",
+            sweep_param="p",
+            grid=(0.0, 1.0, 6),
+            quantities=("c3322", "s_chsh_lpo"),
+            optimizer=cfg,
+        )
+        result = run_sweep(spec)
+        expected_notes, converged = [], set()
+        for i, p in enumerate(result.param_values):
+            rho = make_state("transition", p=p)
+            for alone in compute_quantities(spec.quantities, rho, replace(cfg, seed=point_seed(4, i))):
+                cell = result.table[alone.name][i]
+                if alone.converged:
+                    converged.add(alone.name)
+                    assert cell.tobytes() == np.float64(alone.value).tobytes()
+                else:
+                    assert np.isnan(cell)
+                    expected_notes.append(
+                        f"point {i}, quantity {alone.name}: optimizer did not converge; recording NaN"
+                    )
+        assert result.warnings == tuple(expected_notes)
+        # The cap stops some groups of each optimization, not all of them.
+        assert converged == set(spec.quantities)
+        assert {note.split("quantity ")[1].split(":")[0] for note in expected_notes} == converged
 
     def test_same_seed_bitwise_reproducible(self):
         spec = SweepSpec(

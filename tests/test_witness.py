@@ -38,7 +38,7 @@ from lpow.states import (
     singlet,
     werner,
 )
-from lpow.witness import _mermin_terms, _top_eigenpairs
+from lpow.witness import _mermin_terms, _plane_axes, _top_eigenpairs
 from util import (
     ginibre_state,
     random_directions,
@@ -79,6 +79,10 @@ class TestOptimizerConfig:
             ("max_iterations", float("inf")),
             ("seed", -1),
             ("seed", 1.5),
+            ("restarts", True),
+            ("max_iterations", True),
+            ("seed", False),
+            ("seed", np.True_),
         ],
     )
     def test_rejects_non_integer_or_out_of_range_field(self, field, bad):
@@ -461,7 +465,7 @@ def assert_top_eigenpairs(r, w, q):
 
     The scale |r|(|w| + |q||r|) bounds the spectral norm of M.
     """
-    u, lam = _top_eigenpairs(r, w, q)
+    u, lam = (x[0] for x in _top_eigenpairs(_plane_axes(r[None]), w[None], q))
     forms = reference_setting_forms(r, w, q)
     norm_r = np.linalg.norm(r)
     scale = norm_r * (np.linalg.norm(w, axis=-1) + np.abs(q) * norm_r)

@@ -97,6 +97,14 @@ def _reference_normalize_rows(v: np.ndarray, fallback: np.ndarray) -> np.ndarray
     return np.where(norms > 1e-14, v / np.where(norms == 0.0, 1.0, norms), fallback)
 
 
+def reference_masked_normalize_rows(v: np.ndarray) -> np.ndarray:
+    """The library's row normalization as it was before its fast path: a masked divide by the reduced norms."""
+    norms = np.sqrt((v * v).sum(axis=-1, keepdims=True))
+    out = np.empty_like(v)
+    out[...] = _Z
+    return np.divide(v, norms, out=out, where=norms > 1e-14)
+
+
 def reference_seesaw(update_a, update_b, value, n: int, cfg):
     """Lockstep block ascent scored by ``value(a_dirs, b_dirs)`` each round."""
     rng = np.random.default_rng(cfg.seed)
