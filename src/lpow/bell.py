@@ -348,30 +348,29 @@ def _squarem_point(b0: np.ndarray, b1: np.ndarray, b2: np.ndarray) -> np.ndarray
 
     r = b1 - b0, v = b2 - b1 - r, and alpha = -|r|/|v| per restart over its
     flattened directions, clipped to <= -1 (-1 when v = 0, which gives b2).
-    The iterates have shape (groups, restarts, k, 3).
+    The iterates have shape (groups, restarts, k, 3), summed as (groups, restarts, 3k).
     """
     r = b1 - b0
     v = b2 - b1 - r
-    r_norm = np.sqrt((r * r).sum(axis=(2, 3)))
-    v_norm = np.sqrt((v * v).sum(axis=(2, 3)))
+    flat = (*r.shape[:2], -1)
+    r_norm = np.sqrt((r * r).reshape(flat).sum(axis=2))
+    v_norm = np.sqrt((v * v).reshape(flat).sum(axis=2))
     alpha = np.minimum(-r_norm / np.where(v_norm > 0.0, v_norm, np.inf), -1.0)[..., None, None]
     return b0 - 2.0 * alpha * r + alpha**2 * v
 
 
-def _seesaw(update_a, update_b, a_dirs, b_dirs, cfg: OptimizerConfig, retract=None):
+def _seesaw(update_a, update_b, a_dirs, b_dirs, consts, cfg: OptimizerConfig, retract=None):
     """Multi-start alternating block ascent over measurement directions, for stacked groups.
 
     The batches have shape (groups, restarts, k, 3): each group is one
     optimization (one state) with its own restarts, and every group runs the
-    same maps in lockstep. Both updates take ``(live, a_dirs, b_dirs)``:
-    ``live`` indexes the leading axis of the caller's per-group constants
-    (a full slice until a group retires, then the live groups' indices) and
-    the batches hold the live groups only. ``update_a`` returns the best
-    a-directions for the given b-directions; ``update_b`` returns the best
-    b-directions for the given a-directions and the (groups, restarts)
-    values of the pair it formed, so a map (``update_a`` then ``update_b``)
-    needs no separate evaluation. An update that ignores its own block may
-    start from ``a_dirs=None``.
+    same maps in lockstep. ``consts`` is a tuple of per-group arrays, group
+    on the leading axis, narrowed with the batches when a group retires.
+    ``update_a(consts, a_dirs, b_dirs)`` returns the best a-directions for
+    the given b-directions; ``update_b(consts, a_dirs, b_dirs, valued)`` the
+    best b-directions and, if ``valued``, the (groups, restarts) values of
+    the pair it formed (else None), so a map needs no separate evaluation.
+    An update that ignores its own block may start from ``a_dirs=None``.
 
     A cycle is two maps b0 -> b1 -> b2 and, given a ``retract``, one more
     map from retract(``_squarem_point(b0, b1, b2)``) that each restart keeps
@@ -380,9 +379,10 @@ def _seesaw(update_a, update_b, a_dirs, b_dirs, cfg: OptimizerConfig, retract=No
     decreases. Without one, a cycle is one map. A group stops when none of
     its restarts gains more than ``cfg.value_tolerance`` over a cycle; in
     the first cycle, whose start has no value, a group also stops where the
-    plain loop does, when its second map gains no more than that. A group
-    that stops is retired: its lanes leave the batches, so a group's
-    result does not depend on the others. The iteration count is the
+    plain loop does, when its second map gains no more than that (the only
+    read of a cycle's first value). A group that stops is retired: its
+    lanes leave the batches, so a group's result does not depend on the
+    others. The iteration count is the
     number of maps, at most ``cfg.max_iterations``; when fewer than three
     remain, untested plain maps fill the cap. Returns one (directions a,
     directions b, value, iterations, converged) tuple per group, from its
@@ -390,17 +390,16 @@ def _seesaw(update_a, update_b, a_dirs, b_dirs, cfg: OptimizerConfig, retract=No
     """
     results: list = [None] * len(b_dirs)
     ids = np.arange(len(b_dirs))
-    live: slice | np.ndarray = slice(None)
     values = np.full(b_dirs.shape[:2], -np.inf)
     iterations = 0
 
-    def step(a, b):
-        a = update_a(live, a, b)
-        b, v = update_b(live, a, b)
+    def step(a, b, valued=True):
+        a = update_a(consts, a, b)
+        b, v = update_b(consts, a, b, valued)
         return a, b, v
 
     def retire(stop: np.ndarray, converged: np.ndarray) -> None:
-        nonlocal ids, live, a_dirs, b_dirs, values
+        nonlocal ids, consts, a_dirs, b_dirs, values
         best = values.argmax(axis=1)
         for lane in np.flatnonzero(stop):
             results[ids[lane]] = (
@@ -411,8 +410,9 @@ def _seesaw(update_a, update_b, a_dirs, b_dirs, cfg: OptimizerConfig, retract=No
                 bool(converged[lane]),
             )
         keep = ~stop
-        ids = live = ids[keep]
+        ids = ids[keep]
         if len(ids):
+            consts = tuple(c[keep] for c in consts)
             a_dirs, b_dirs, values = a_dirs[keep], b_dirs[keep], values[keep]
 
     while len(ids):
@@ -422,7 +422,7 @@ def _seesaw(update_a, update_b, a_dirs, b_dirs, cfg: OptimizerConfig, retract=No
             done = (new_values - values <= cfg.value_tolerance).all(axis=1) & (retract is None)
         else:
             b0 = b_dirs
-            a1, b1, v1 = step(a_dirs, b0)
+            a1, b1, v1 = step(a_dirs, b0, iterations == 0)
             a_dirs, b_dirs, new_values = step(a1, b1)
             iterations += 2
             if iterations == 2:
@@ -490,18 +490,23 @@ def _optimize_functional_values(rhos, f: BellFunctional, cfgs) -> list[BellOptim
     shift_a = (f.beta[:, None] * r_a[:, None, :]).reshape(-1, 1, 3 * m)
     shift_a_col = shift_a.reshape(-1, 3 * m, 1)
     shift_b = (f.gamma[:, None] * r_b[:, None, :]).reshape(-1, 1, 3 * n)
+    consts = (to_a, shift_a, to_b, shift_b, shift_a_col)
 
-    def update_a(live, _, b_dirs):
+    def update_a(consts, _, b_dirs):
+        to_a, shift_a = consts[:2]
         groups, restarts = b_dirs.shape[:2]
-        grad = b_dirs.reshape(groups, restarts, -1) @ to_a[live] + shift_a[live]
+        grad = b_dirs.reshape(groups, restarts, -1) @ to_a + shift_a
         return _normalize_rows(grad.reshape(groups, restarts, m, 3))
 
-    def update_b(live, a_dirs, _):
+    def update_b(consts, a_dirs, _, valued):
+        to_b, shift_b, shift_a_col = consts[2:]
         groups, restarts = a_dirs.shape[:2]
         a_flat = a_dirs.reshape(groups, restarts, -1)
-        grad = (a_flat @ to_b[live] + shift_b[live]).reshape(groups, restarts, n, 3)
+        grad = (a_flat @ to_b + shift_b).reshape(groups, restarts, n, 3)
         b_dirs = _normalize_rows(grad)
-        marginal = (a_flat @ shift_a_col[live])[..., 0]
+        if not valued:
+            return b_dirs, None
+        marginal = (a_flat @ shift_a_col)[..., 0]
         return b_dirs, np.einsum("grny,grny->gr", b_dirs, grad) + marginal
 
     starts = np.array([_gaussian_directions(n, c) for c in cfgs])
@@ -513,6 +518,6 @@ def _optimize_functional_values(rhos, f: BellFunctional, cfgs) -> list[BellOptim
             converged=converged,
         )
         for a_best, b_best, value, iterations, converged in _seesaw(
-            update_a, update_b, None, starts, cfg, _normalize_rows
+            update_a, update_b, None, starts, consts, cfg, _normalize_rows
         )
     ]

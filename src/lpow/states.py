@@ -80,9 +80,11 @@ class QubitObservable:
         object.__setattr__(self, "direction", d)
         if d.shape != (3,):
             raise ValueError("direction must be a 3-vector")
-        if not np.isfinite(d).all():
+        # A finite sum of squares means finite entries; sqrt(d.dot(d)) is np.linalg.norm(d) bit for bit.
+        square = d.dot(d)
+        if not math.isfinite(square) and not np.isfinite(d).all():
             raise ValueError(f"direction must be finite, got {d}")
-        if abs(np.linalg.norm(d) - 1.0) > 1e-12:
+        if abs(math.sqrt(square) - 1.0) > 1e-12:
             raise ValueError("direction must be a unit vector")
 
     @property
@@ -111,12 +113,14 @@ class HorodeckiResult:
 
 
 def ket(*bits: int) -> np.ndarray:
-    """Computational-basis ket over one qubit per bit."""
-    v = np.array([1.0 + 0j])
+    """Computational-basis ket over one qubit per bit, the first bit most significant."""
+    index = 0
     for b in bits:
-        e = np.zeros(2, dtype=complex)
-        e[int(b)] = 1.0
-        v = np.kron(v, e)
+        if b not in (0, 1):
+            raise ValueError(f"ket bits must be 0 or 1, got {b!r}")
+        index = 2 * index + int(b)
+    v = np.zeros(2 ** len(bits), dtype=complex)
+    v[index] = 1.0
     return v
 
 

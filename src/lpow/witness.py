@@ -167,19 +167,24 @@ def _unit_normal(u: np.ndarray) -> np.ndarray:
     return np.array([1.0 + sign * x * x * a, sign * x * y * a, -sign * x])
 
 
-def _plane_axes(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _group_product(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """x (groups, ..., i) @ its group's (i, j) matrix: one product per group, bit for bit x @ mat[:, None]."""
+    return (x.reshape(len(x), -1, x.shape[-1]) @ mat).reshape(*x.shape[:-1], mat.shape[-1])
+
+
+def _plane_axes(r: np.ndarray) -> tuple[np.ndarray, ...]:
     """The per-group constants of ``_top_eigenpairs`` for a (groups, 3) stack of vectors r.
 
-    Returns |r| (groups, 1, 1), r^ = r/|r| (+z for r = 0) and a fixed unit
-    normal to r^ (both groups, 1, 1, 3), shaped to broadcast over (groups,
-    restarts, k, 3) batches.
+    Returns |r| (groups, 1, 1), r^ = r/|r| (+z for r = 0) as rows (groups, 1, 3) and
+    columns (groups, 3, 1), and a fixed unit normal to r^ (groups, 1, 1, 3) for the batches.
     """
     norms = [math.sqrt(v.dot(v)) for v in r]  # np.linalg.norm(v) bit for bit: sqrt(v.dot(v))
-    units = [v / norm if norm > 0.0 else _Z for v, norm in zip(r, norms)]
+    units = np.array([v / norm if norm > 0.0 else _Z for v, norm in zip(r, norms)])
     normals = [_unit_normal(u) for u in units]
     return (
         np.array(norms)[:, None, None],
-        np.array(units)[:, None, None, :],
+        units[:, None, :],
+        units[:, :, None],
         np.array(normals)[:, None, None, :],
     )
 
@@ -200,17 +205,17 @@ def _top_eigenpairs(axes, w: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.
     with h = 0. The zero form (r = 0, or w parallel to r with tau = 0)
     returns r^ (+z for r = 0) with lambda = 0. Returns (vectors (..., k, 3),
     maxima (..., k)); the vector's sign is immaterial because the form is
-    even in u.
+    even in u. Every product with r^ is one ``_group_product`` per group.
     """
-    norm_r, unit_r, normal = axes
-    along = (w @ unit_r.swapaxes(-1, -2))[..., 0]
-    perp = w - along[..., None] * unit_r
-    perp -= (perp @ unit_r.swapaxes(-1, -2)) * unit_r
+    norm_r, unit_row, unit_col, normal = axes
+    along = _group_product(w, unit_col)
+    perp = w - _group_product(along, unit_row)
+    perp -= _group_product(_group_product(perp, unit_col), unit_row)
     norm_perp = np.sqrt(np.einsum("...i,...i->...", perp, perp))
     flat = norm_perp <= _ROUNDING * np.sqrt(np.einsum("...i,...i->...", w, w))
     perp = np.where(flat[..., None], normal, perp / np.where(flat, 1.0, norm_perp)[..., None])
     two_h = np.where(flat, 0.0, norm_r * norm_perp)
-    tau = norm_r * (along + q * norm_r)
+    tau = norm_r * (along[..., 0] + q * norm_r)
     big = np.hypot(tau, two_h) + np.abs(tau)
     rising = tau >= 0.0
     maxima = 0.5 * np.where(rising, big, two_h**2 / np.where(rising, 1.0, big))
@@ -220,7 +225,7 @@ def _top_eigenpairs(axes, w: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.
     empty = length == 0.0
     length = np.where(empty, 1.0, length)
     coef_r = np.where(empty, 1.0, coef_r / length)
-    return coef_r[..., None] * unit_r + (coef_p / length)[..., None] * perp, maxima
+    return _group_product(coef_r[..., None], unit_row) + (coef_p / length)[..., None] * perp, maxima
 
 
 def _jacobi_sweep(frame: np.ndarray, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -314,15 +319,13 @@ def _sym_sup_fields(rhos, f: BellFunctional, constraint: str, cfgs) -> list[dict
         return fields
     cfg = _shared_config([cfgs[i] for i in run])
     r_a, r_b, t = (np.array([moments[i][part] for i in run]) for part in range(3))
-    col_a, col_b = r_a[:, None, :, None], r_b[:, None, :, None]
-    t_t, t = t.swapaxes(1, 2)[:, None], t[:, None]
 
     if constraint == "free":
         alpha, beta, gamma = f.alpha, f.beta, f.gamma
-        axes_a, axes_b = _plane_axes(r_a), _plane_axes(r_b)
+        forms_a, forms_b = _plane_axes(r_a), _plane_axes(r_b)
 
-        def maximize(live, _, axes, w, q):
-            return _top_eigenpairs(tuple(c[live] for c in axes), w, q)
+        def maximize(_, forms, w, q):
+            return _top_eigenpairs(forms, w, q)
 
         a_start, retract = None, _normalize_rows
         b_start = np.array([_gaussian_directions(n, cfgs[i]) for i in run])
@@ -330,26 +333,34 @@ def _sym_sup_fields(rhos, f: BellFunctional, constraint: str, cfgs) -> list[dict
         alpha = np.pad(f.alpha, ((0, 3 - m), (0, 3 - n)))
         beta = np.pad(f.beta, (0, 3 - m))
         gamma = np.pad(f.gamma, (0, 3 - n))
-        axes_a, axes_b = r_a[:, None, None, :], r_b[:, None, None, :]
+        forms_a, forms_b = (r_a[:, None, None, :],), (r_b[:, None, None, :],)
 
-        def maximize(live, frame, r, w, q):
-            return _jacobi_sweep(frame, _setting_forms(r[live], w, q))
+        def maximize(frame, forms, w, q):
+            return _jacobi_sweep(frame, _setting_forms(forms[0], w, q))
 
         a_start, b_start = np.stack([_random_frames(cfgs[i]) for i in run], axis=1)
         retract = None
 
-    def update_a(live, a_dirs: np.ndarray, b_dirs: np.ndarray) -> np.ndarray:
+    # Per block: the other party's r column, its map onto the rows of w, the block's form constants.
+    consts = (r_b[..., None], t.swapaxes(1, 2), *forms_a, r_a[..., None], t, *forms_b)
+    half = len(consts) // 2
+
+    def best_block(consts, dirs, other, coef, q):
+        """The best ``dirs`` for fixed ``other`` directions, their forms, and the other party's means."""
+        col, mat, *forms = consts
+        means = _group_product(other, col)[..., 0]
+        w = (coef * means[..., None, :]) @ _group_product(other, mat)
+        return *maximize(dirs, forms, w, q), means
+
+    def update_a(consts, a_dirs: np.ndarray, b_dirs: np.ndarray) -> np.ndarray:
         # w_x = sum_y alpha_xy (b_y . r_B) T b_y
-        w = (alpha * (b_dirs @ col_b[live])[..., None, :, 0]) @ (b_dirs @ t_t[live])
-        return maximize(live, a_dirs, axes_a, w, beta)[0]
+        return best_block(consts[:half], a_dirs, b_dirs, alpha, beta)[0]
 
-    def update_b(live, a_dirs: np.ndarray, b_dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        a = (a_dirs @ col_a[live])[..., 0]
-        w = (alpha.T * a[..., None, :]) @ (a_dirs @ t[live])
-        b_dirs, forms = maximize(live, b_dirs, axes_b, w, gamma)
-        return b_dirs, forms.sum(axis=-1) + (a**2) @ beta
+    def update_b(consts, a_dirs: np.ndarray, b_dirs: np.ndarray, valued: bool):
+        b_dirs, forms, a = best_block(consts[half:], b_dirs, a_dirs, alpha.T, gamma)
+        return b_dirs, (forms.sum(axis=-1) + (a**2) @ beta if valued else None)
 
-    optima = _seesaw(update_a, update_b, a_start, b_start, cfg, retract)
+    optima = _seesaw(update_a, update_b, a_start, b_start, consts, cfg, retract)
     for i, (a_best, b_best, value, _, converged) in zip(run, optima):
         fields[i].update(
             value=value,

@@ -103,11 +103,11 @@ def test_rejected_extrapolations_keep_the_plain_ascent(monkeypatch):
     # safeguard must refuse each extrapolation that scores below the plain
     # second map; the values stay monotone and reach the reference optimum,
     # for states run alone and stacked as groups of one call.
-    def scrambled(update_a, update_b, a_dirs, b_dirs, cfg, retract):
+    def scrambled(update_a, update_b, a_dirs, b_dirs, consts, cfg, retract):
         def to_z(dirs):
             return np.broadcast_to(_Z, dirs.shape)
 
-        return _seesaw(update_a, update_b, a_dirs, b_dirs, cfg, to_z)
+        return _seesaw(update_a, update_b, a_dirs, b_dirs, consts, cfg, to_z)
 
     monkeypatch.setattr(lpow.bell, "_seesaw", scrambled)
     f = preset_functional("c3322")

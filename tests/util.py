@@ -320,6 +320,16 @@ def reference_mermin_vertex_max(norms) -> float:
 # probability forms, which moved to affine images of the correlator forms.
 
 
+def reference_ket(*bits: int) -> np.ndarray:
+    """Computational-basis ket as the Kronecker product of one-qubit kets."""
+    v = np.array([1.0 + 0j])
+    for b in bits:
+        e = np.zeros(2, dtype=complex)
+        e[int(b)] = 1.0
+        v = np.kron(v, e)
+    return v
+
+
 def reference_bloch_vector(rho) -> np.ndarray:
     """Pauli expectation 3-vector of a single-qubit state."""
     m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
