@@ -13,21 +13,16 @@ from .states import (
     observable,
     optimized_chsh,
 )
-from .lpo import LocalPerceivedOperator, lpo_correlator, lpo_project, perceived_expectation
+from .lpo import LocalPerceivedOperator, lpo_correlator, lpo_project
 from .bell import (
     BellFunctional,
     BellOptimum,
     MarginalMeans,
     MeasurementScenario,
     OptimizerConfig,
-    bell_operator_matrix,
     bilinear_value,
-    c3322_value,
     chsh_settings,
-    cond_joint_prob,
     functional_value,
-    i2222_probability_value,
-    i3322_probability_value,
     lhv_bound,
     marginal_means,
     normalized_value,

@@ -3,15 +3,12 @@
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import kron
 from .states import DensityMatrix, QubitObservable, _two_qubit_moments
 
-IDENTITY_TOL = 1e-10
 ORTHOGONALITY_TOL = 1e-10
 ENUMERATION_LIMIT = 20
 _Z = np.array([0.0, 0.0, 1.0])
@@ -137,23 +134,6 @@ def planar_3322_settings() -> MeasurementScenario:
     return scenario_from_directions(alice, bob)
 
 
-def bell_operator_matrix(f: BellFunctional, s: MeasurementScenario) -> np.ndarray:
-    """Assemble the 4x4 Bell operator from coefficients and settings."""
-    m, n = f.shape
-    if len(s.alice) != m or len(s.bob) != n:
-        raise ValueError("scenario setting counts do not match functional shape")
-    i2 = np.eye(2)
-    out = np.zeros((4, 4), dtype=complex)
-    for x in range(m):
-        for y in range(n):
-            out += f.alpha[x, y] * kron(s.alice[x].matrix, s.bob[y].matrix)
-    for x in range(m):
-        out += f.beta[x] * kron(s.alice[x].matrix, i2)
-    for y in range(n):
-        out += f.gamma[y] * kron(i2, s.bob[y].matrix)
-    return out
-
-
 def marginal_means(rho: DensityMatrix, s: MeasurementScenario) -> MarginalMeans:
     """Tables a = D_A r_A, b = D_B r_B and C = D_A T D_B^T of the state's first moments.
 
@@ -214,55 +194,6 @@ def _vertex_max(alpha, beta, gamma) -> tuple[float, np.ndarray, np.ndarray]:
 def lhv_bound(f: BellFunctional) -> float:
     """Exact deterministic bound: max of F over all sign vertices, scanning Bob's 2^n."""
     return _vertex_max(f.alpha.T, f.gamma, f.beta)[0]
-
-
-def cond_joint_prob(a_out: int, b_out: int, c_ai: float, c_ib: float, c_ab: float) -> float:
-    """Joint outcome probability from one- and two-party correlators.
-
-    P(a, b) = (1 + (-1)^a C_AI + (-1)^b C_IB + (-1)^(a+b) C_AB) / 4. Triples
-    outside the physical range produce values outside [0, 1]; those are
-    flagged with a warning rather than an error.
-    """
-    if a_out not in (0, 1) or b_out not in (0, 1):
-        raise ValueError("outcomes must be bits")
-    for name, c in (("c_ai", c_ai), ("c_ib", c_ib), ("c_ab", c_ab)):
-        if abs(c) > 1.0 + IDENTITY_TOL:
-            raise ValueError(f"{name}={c} outside [-1, 1]")
-    sa = -1.0 if a_out else 1.0
-    sb = -1.0 if b_out else 1.0
-    p = 0.25 * (1.0 + sa * c_ai + sb * c_ib + sa * sb * c_ab)
-    if p < -IDENTITY_TOL or p > 1.0 + IDENTITY_TOL:
-        warnings.warn(f"unphysical correlator triple: probability {p}", stacklevel=2)
-    return float(p)
-
-
-def c3322_value(rho: DensityMatrix, s: MeasurementScenario) -> float:
-    """Correlator-form 3-setting inequality value (classical bound 4)."""
-    if len(s.alice) != 3 or len(s.bob) != 3:
-        raise ValueError("c3322_value needs 3 settings per party")
-    return functional_value(rho, preset_functional("c3322"), s)
-
-
-def i3322_probability_value(rho: DensityMatrix, s: MeasurementScenario) -> float:
-    """Probability-form 3-setting inequality value (classical bound 0).
-
-    Every joint probability is an affine image of the correlators, so the
-    value is the affine image I = C/4 - 1 of the correlator form C =
-    ``c3322_value``.
-    """
-    if len(s.alice) != 3 or len(s.bob) != 3:
-        raise ValueError("i3322_probability_value needs 3 settings per party")
-    return c3322_value(rho, s) / 4.0 - 1.0
-
-
-def i2222_probability_value(rho: DensityMatrix, s: MeasurementScenario) -> float:
-    """Probability-form 2-setting inequality value (classical bound 0).
-
-    Equals S/4 - 1/2 for the CHSH combination S at the same settings.
-    """
-    if len(s.alice) != 2 or len(s.bob) != 2:
-        raise ValueError("i2222_probability_value needs 2 settings per party")
-    return functional_value(rho, preset_functional("chsh"), s) / 4.0 - 0.5
 
 
 def normalized_value(kind: str, raw: float) -> float:
@@ -459,14 +390,10 @@ def optimize_functional_value(
 
     See-saw ascent on first moments: Tr(rho B) = sum_xy alpha_xy a_x^T T b_y
     + sum_x beta_x a_x.r_A + sum_y gamma_y b_y.r_B is linear in each party's
-    directions once the other party's are fixed, so each block update is one
-    product of the flattened (restarts, 3n) directions with a fixed
-    Kronecker map (kron(alpha^T, T^T) towards A, kron(alpha, T) towards B),
-    plus a constant, followed by a row normalization (a zero gradient falls
-    back to +z). The map's value is read off the B update: with gradients
-    g_y, F = sum_y b_y.g_y + sum_x beta_x a_x.r_A, which is sum_y |g_y| plus
-    the A marginal term. All restarts advance in lockstep through safeguarded
-    SQUAREM cycles of ``_seesaw``, which defines ``converged``.
+    directions once the other party's are fixed. It is ``_bilinear_seesaw``'s
+    problem with shifts L_x = beta_x r_A and K_y = gamma_y r_B. All restarts
+    advance in lockstep through safeguarded SQUAREM cycles of ``_seesaw``,
+    which defines ``converged``.
     """
     cfg = OptimizerConfig(
         restarts=restarts, max_iterations=max_iterations, value_tolerance=value_tolerance, seed=seed
@@ -481,15 +408,37 @@ def _optimize_functional_values(rhos, f: BellFunctional, cfgs) -> list[BellOptim
     state's optimum is bit for bit the one it reaches alone.
     """
     cfg = _shared_config(cfgs)
-    m, n = f.shape
     moments = [_two_qubit_moments(rho, "optimize_functional_value") for rho in rhos]
     r_a, r_b, t = (np.array([moment[part] for moment in moments]) for part in range(3))
-    # Per-state Kronecker products, each entry the one product np.kron forms.
-    to_a = (f.alpha.T[:, None, :, None] * t.swapaxes(1, 2)[:, None, :, None, :]).reshape(-1, 3 * n, 3 * m)
-    to_b = (f.alpha[:, None, :, None] * t[:, None, :, None, :]).reshape(-1, 3 * m, 3 * n)
-    shift_a = (f.beta[:, None] * r_a[:, None, :]).reshape(-1, 1, 3 * m)
+    shifts = (f.beta[:, None] * r_a[:, None, :], f.gamma[:, None] * r_b[:, None, :])
+    starts = np.array([_gaussian_directions(f.shape[1], c) for c in cfgs])
+    return [
+        BellOptimum(value, scenario_from_directions(a_best, b_best), iterations, converged)
+        for a_best, b_best, value, iterations, converged in _bilinear_seesaw(f.alpha, t, *shifts, starts, cfg)
+    ]
+
+
+def _bilinear_seesaw(alpha, t, shift_a, shift_b, starts, cfg: OptimizerConfig):
+    """``_seesaw`` maximizing sum_xy alpha_xy a_x^T T b_y + sum_x a_x.L_x + sum_y b_y.K_y per group.
+
+    Over unit directions a_x and b_y, with per-group T (groups, 3, 3) in
+    ``t``, L (groups, m, 3) in ``shift_a`` and K (groups, n, 3) in
+    ``shift_b``, from the b-directions ``starts`` (groups, restarts, n, 3).
+    Each block update is one product of the flattened (restarts, 3n)
+    directions with a fixed Kronecker map (kron(alpha^T, T^T) towards A,
+    kron(alpha, T) towards B), plus the shifts, followed by a row
+    normalization (a zero gradient falls back to +z). The map's value is
+    read off the B update: with gradients g_y, it is sum_y b_y.g_y +
+    sum_x a_x.L_x, which is sum_y |g_y| plus the A shift term. Returns
+    ``_seesaw``'s group tuples.
+    """
+    m, n = alpha.shape
+    # Per-group Kronecker products, each entry the one product np.kron forms.
+    to_a = (alpha.T[:, None, :, None] * t.swapaxes(1, 2)[:, None, :, None, :]).reshape(-1, 3 * n, 3 * m)
+    to_b = (alpha[:, None, :, None] * t[:, None, :, None, :]).reshape(-1, 3 * m, 3 * n)
+    shift_a = shift_a.reshape(-1, 1, 3 * m)
     shift_a_col = shift_a.reshape(-1, 3 * m, 1)
-    shift_b = (f.gamma[:, None] * r_b[:, None, :]).reshape(-1, 1, 3 * n)
+    shift_b = shift_b.reshape(-1, 1, 3 * n)
     consts = (to_a, shift_a, to_b, shift_b, shift_a_col)
 
     def update_a(consts, _, b_dirs):
@@ -509,15 +458,4 @@ def _optimize_functional_values(rhos, f: BellFunctional, cfgs) -> list[BellOptim
         marginal = (a_flat @ shift_a_col)[..., 0]
         return b_dirs, np.einsum("grny,grny->gr", b_dirs, grad) + marginal
 
-    starts = np.array([_gaussian_directions(n, c) for c in cfgs])
-    return [
-        BellOptimum(
-            value=value,
-            scenario=scenario_from_directions(a_best, b_best),
-            iterations=iterations,
-            converged=converged,
-        )
-        for a_best, b_best, value, iterations, converged in _seesaw(
-            update_a, update_b, None, starts, consts, cfg, _normalize_rows
-        )
-    ]
+    return _seesaw(update_a, update_b, None, starts, consts, cfg, _normalize_rows)

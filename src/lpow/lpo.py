@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HERMITICITY_TOL, dagger, kron, partial_trace
+from .linalg import kron, partial_trace
 from .states import DensityMatrix, QubitObservable, _two_qubit_moments
 
 
@@ -37,19 +37,6 @@ def lpo_project(x: np.ndarray, rho: DensityMatrix, keep: int) -> LocalPerceivedO
     ]
     weighted = kron(*factors) @ x if n > 1 else x
     return LocalPerceivedOperator(partial_trace(weighted, rho.dims, (keep,)), keep)
-
-
-def perceived_expectation(x: np.ndarray, rho: DensityMatrix, side: int = 0) -> float:
-    """Expectation of the perceived operator in the kept party's marginal.
-
-    Equals Tr[(rho_A x rho_B x ...) X], hence the same number for every
-    choice of ``side``.
-    """
-    x = np.asarray(x, dtype=complex)
-    if np.abs(x - dagger(x)).max() > HERMITICITY_TOL:
-        raise ValueError("perceived_expectation requires a Hermitian operator")
-    local = lpo_project(x, rho, side)
-    return float(np.trace(rho.marginal(side).matrix @ local.matrix).real)
 
 
 def lpo_correlator(ax: QubitObservable, by: QubitObservable, rho: DensityMatrix) -> float:

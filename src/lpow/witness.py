@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,8 +13,8 @@ from .bell import (
     MeasurementScenario,
     OptimizerConfig,
     _Z,
+    _bilinear_seesaw,
     _gaussian_directions,
-    _normalize_rows,
     _seesaw,
     _shared_config,
     _sign_vertices,
@@ -28,7 +27,6 @@ from .bell import (
 
 BOUND_SLACK = 1e-8
 DEGENERATE_NORM = 1e-12
-_ROUNDING = 8.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -172,62 +170,6 @@ def _group_product(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return (x.reshape(len(x), -1, x.shape[-1]) @ mat).reshape(*x.shape[:-1], mat.shape[-1])
 
 
-def _plane_axes(r: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The per-group constants of ``_top_eigenpairs`` for a (groups, 3) stack of vectors r.
-
-    Returns |r| (groups, 1, 1), r^ = r/|r| (+z for r = 0) as rows (groups, 1, 3) and
-    columns (groups, 3, 1), and a fixed unit normal to r^ (groups, 1, 1, 3) for the batches.
-    """
-    norms = [math.sqrt(v.dot(v)) for v in r]  # np.linalg.norm(v) bit for bit: sqrt(v.dot(v))
-    units = np.array([v / norm if norm > 0.0 else _Z for v, norm in zip(r, norms)])
-    normals = [_unit_normal(u) for u in units]
-    return (
-        np.array(norms)[:, None, None],
-        units[:, None, :],
-        units[:, :, None],
-        np.array(normals)[:, None, None, :],
-    )
-
-
-def _top_eigenpairs(axes, w: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit u_k maximizing u_k^T M_k u_k for M_k = sym(r w_k^T) + q_k r r^T.
-
-    Batched over w (groups, restarts, k, 3); ``axes`` holds each group's
-    ``_plane_axes`` of r. M_k vanishes outside span{r, w_k}. In the
-    orthonormal basis r^ = r/|r|, p = w_perp/|w_perp| of that plane it is
-    [[tau, h], [h, 0]], with w_perp = w - (w.r^) r^, tau = q|r|^2 + r.w and
-    h = |r||w_perp|/2. So the maximum is lambda = (tau + d)/2 >= 0,
-    d = sqrt(tau^2 + 4h^2), with eigenvector lambda r^ + h p; for tau < 0
-    both are formed without cancellation, as lambda = 2h^2/(d - tau) and
-    2h r^ + (d - tau) p. The projection off r^ is taken twice, so p stays
-    orthogonal to r^ when w is nearly parallel to r; a w_perp at rounding
-    level relative to w is replaced by a fixed unit vector orthogonal to r,
-    with h = 0. The zero form (r = 0, or w parallel to r with tau = 0)
-    returns r^ (+z for r = 0) with lambda = 0. Returns (vectors (..., k, 3),
-    maxima (..., k)); the vector's sign is immaterial because the form is
-    even in u. Every product with r^ is one ``_group_product`` per group.
-    """
-    norm_r, unit_row, unit_col, normal = axes
-    along = _group_product(w, unit_col)
-    perp = w - _group_product(along, unit_row)
-    perp -= _group_product(_group_product(perp, unit_col), unit_row)
-    norm_perp = np.sqrt(np.einsum("...i,...i->...", perp, perp))
-    flat = norm_perp <= _ROUNDING * np.sqrt(np.einsum("...i,...i->...", w, w))
-    perp = np.where(flat[..., None], normal, perp / np.where(flat, 1.0, norm_perp)[..., None])
-    two_h = np.where(flat, 0.0, norm_r * norm_perp)
-    tau = norm_r * (along[..., 0] + q * norm_r)
-    big = np.hypot(tau, two_h) + np.abs(tau)
-    rising = tau >= 0.0
-    maxima = 0.5 * np.where(rising, big, two_h**2 / np.where(rising, 1.0, big))
-    coef_r = np.where(rising, big, two_h)
-    coef_p = np.where(rising, two_h, big)
-    length = np.hypot(coef_r, coef_p)
-    empty = length == 0.0
-    length = np.where(empty, 1.0, length)
-    coef_r = np.where(empty, 1.0, coef_r / length)
-    return _group_product(coef_r[..., None], unit_row) + (coef_p / length)[..., None] * perp, maxima
-
-
 def _jacobi_sweep(frame: np.ndarray, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One cyclic Jacobi sweep raising sum_k u_k^T M_k u_k over orthonormal frames.
 
@@ -271,23 +213,29 @@ def sym_sup(
 ) -> WitnessReport:
     """Supremum of the two-sided witness over settings, by see-saw block ascent.
 
-    With one party's directions fixed, the witness is a sum of per-setting
-    quadratic forms u^T M_k u in the other party's directions (3x3 M_k), so
-    each block update maximizes that sum. ``free`` takes each M_k's top
-    eigenvector, a closed form because M_k has rank <= 2 and vanishes
-    outside span{r, w_k} (``_top_eigenpairs``), from Gaussian-drawn
-    b-directions, in SQUAREM cycles that renormalize extrapolated rows.
+    ``free`` runs ``optimize_functional_value``'s see-saw in Thales
+    coordinates: for a unit u, a' = (u.r)u has |a'|^2 = a'.r, so a' ranges
+    over the sphere with diameter [0, r] and a' = (r + |r| a^)/2 for a unit
+    a^. The witness sum alpha_xy a'_x^T T b'_y + sum beta_x a'_x.r_A
+    + sum gamma_y b'_y.r_B is then c + sum alpha_xy a^_x^T T' b^_y
+    + sum a^_x.L_x + sum b^_y.K_y, with T' = |r_A||r_B| T/4,
+    L_x = |r_A|/4 (sum_y alpha_xy) T r_B + |r_A|/2 beta_x r_A, K_y likewise
+    and c = sum(alpha) r_A^T T r_B/4 + sum(beta)|r_A|^2/2 + sum(gamma)|r_B|^2/2.
+    Gaussian starts u map to b^ = 2(u.r^_B)u - r^_B, so that b' = (u.r_B)u;
+    the optimal a^ maps back through the half angle (``_from_thales``).
     ``orthogonal`` keeps one orthonormal frame per party (setting k is row
     k; alpha, beta and gamma are padded with zeros to 3 settings, so unused
-    rows carry M = 0) and runs one cyclic Jacobi sweep of plane rotations
-    per update, from the canonical frames in restart 0 and random rotations
-    in the others, in plain maps: an extrapolated frame's renormalized rows
-    are not orthonormal, and its polar factor cost more than it saved. Each
-    map's value is read off the B update: the sum of b_y^T M_y b_y plus the
-    beta terms of the fixed a-directions. When the applicable cap already
-    pins the witness to zero (e.g. a maximally mixed marginal with no
-    positive quadratic coefficient), the optimization is skipped.
-    ``converged`` describes the reported restart.
+    rows carry M = 0). Its frames are orthonormal in u, not in a^: with one
+    party's directions fixed, the witness is a sum of quadratic forms
+    u^T M_k u, and each update runs one cyclic Jacobi sweep of plane
+    rotations on it, from the canonical frames in restart 0 and random
+    rotations in the others, in plain maps: an extrapolated frame's
+    renormalized rows are not orthonormal, and its polar factor cost more
+    than it saved. Each map's value is read off the B update: the sum of
+    b_y^T M_y b_y plus the beta terms of the fixed a-directions. When the
+    applicable cap already pins the witness to zero (e.g. a maximally mixed
+    marginal with no positive quadratic coefficient), the optimization is
+    skipped. ``converged`` describes the reported restart.
     """
     return WitnessReport(**_sym_sup_fields([rho], f, constraint, [cfg or OptimizerConfig()])[0])
 
@@ -317,50 +265,38 @@ def _sym_sup_fields(rhos, f: BellFunctional, constraint: str, cfgs) -> list[dict
     run = [i for i, entry in enumerate(fields) if entry["bounds"][-1][1] > DEGENERATE_NORM]
     if not run:
         return fields
-    cfg = _shared_config([cfgs[i] for i in run])
+    cfgs = [cfgs[i] for i in run]
+    cfg = _shared_config(cfgs)
     r_a, r_b, t = (np.array([moments[i][part] for i in run]) for part in range(3))
 
     if constraint == "free":
-        alpha, beta, gamma = f.alpha, f.beta, f.gamma
-        forms_a, forms_b = _plane_axes(r_a), _plane_axes(r_b)
-
-        def maximize(_, forms, w, q):
-            return _top_eigenpairs(forms, w, q)
-
-        a_start, retract = None, _normalize_rows
-        b_start = np.array([_gaussian_directions(n, cfgs[i]) for i in run])
+        optima = _thales_seesaw(f, r_a, r_b, t, cfgs, cfg)
     else:
         alpha = np.pad(f.alpha, ((0, 3 - m), (0, 3 - n)))
         beta = np.pad(f.beta, (0, 3 - m))
         gamma = np.pad(f.gamma, (0, 3 - n))
-        forms_a, forms_b = (r_a[:, None, None, :],), (r_b[:, None, None, :],)
+        # Per block: the other party's r column, its map onto the rows of w, the block's own r.
+        consts = (
+            r_b[..., None], t.swapaxes(1, 2), r_a[:, None, None, :], r_a[..., None], t, r_b[:, None, None, :]
+        )
 
-        def maximize(frame, forms, w, q):
-            return _jacobi_sweep(frame, _setting_forms(forms[0], w, q))
+        def best_block(consts, frame, other, coef, q):
+            """The best ``frame`` for fixed ``other`` directions, their forms, and the other party's means."""
+            col, mat, r = consts
+            means = _group_product(other, col)[..., 0]
+            w = (coef * means[..., None, :]) @ _group_product(other, mat)
+            return *_jacobi_sweep(frame, _setting_forms(r, w, q)), means
 
-        a_start, b_start = np.stack([_random_frames(cfgs[i]) for i in run], axis=1)
-        retract = None
+        def update_a(consts, a_dirs: np.ndarray, b_dirs: np.ndarray) -> np.ndarray:
+            # w_x = sum_y alpha_xy (b_y . r_B) T b_y
+            return best_block(consts[:3], a_dirs, b_dirs, alpha, beta)[0]
 
-    # Per block: the other party's r column, its map onto the rows of w, the block's form constants.
-    consts = (r_b[..., None], t.swapaxes(1, 2), *forms_a, r_a[..., None], t, *forms_b)
-    half = len(consts) // 2
+        def update_b(consts, a_dirs: np.ndarray, b_dirs: np.ndarray, valued: bool):
+            b_dirs, forms, a = best_block(consts[3:], b_dirs, a_dirs, alpha.T, gamma)
+            return b_dirs, (forms.sum(axis=-1) + (a**2) @ beta if valued else None)
 
-    def best_block(consts, dirs, other, coef, q):
-        """The best ``dirs`` for fixed ``other`` directions, their forms, and the other party's means."""
-        col, mat, *forms = consts
-        means = _group_product(other, col)[..., 0]
-        w = (coef * means[..., None, :]) @ _group_product(other, mat)
-        return *maximize(dirs, forms, w, q), means
-
-    def update_a(consts, a_dirs: np.ndarray, b_dirs: np.ndarray) -> np.ndarray:
-        # w_x = sum_y alpha_xy (b_y . r_B) T b_y
-        return best_block(consts[:half], a_dirs, b_dirs, alpha, beta)[0]
-
-    def update_b(consts, a_dirs: np.ndarray, b_dirs: np.ndarray, valued: bool):
-        b_dirs, forms, a = best_block(consts[half:], b_dirs, a_dirs, alpha.T, gamma)
-        return b_dirs, (forms.sum(axis=-1) + (a**2) @ beta if valued else None)
-
-    optima = _seesaw(update_a, update_b, a_start, b_start, consts, cfg, retract)
+        a_start, b_start = np.stack([_random_frames(c) for c in cfgs], axis=1)
+        optima = _seesaw(update_a, update_b, a_start, b_start, consts, cfg)
     for i, (a_best, b_best, value, _, converged) in zip(run, optima):
         fields[i].update(
             value=value,
@@ -371,6 +307,57 @@ def _sym_sup_fields(rhos, f: BellFunctional, constraint: str, cfgs) -> list[dict
             converged=converged,
         )
     return fields
+
+
+def _thales_seesaw(f: BellFunctional, r_a, r_b, t, cfgs, cfg) -> list[tuple]:
+    """``_seesaw``'s group tuples for the free witness, holding settings u and witness values.
+
+    Builds ``sym_sup``'s (T', L, K, c) per group and runs
+    ``bell._bilinear_seesaw``. Where r_B = 0, r^_B is +z and T' = 0, so the
+    A update ignores the starts.
+    """
+    norm_a, norm_b = (np.sqrt((r * r).sum(axis=1)) for r in (r_a, r_b))
+    unit_a, unit_b = (
+        np.where(norm[:, None] > 0.0, r / np.where(norm > 0.0, norm, 1.0)[:, None], _Z)
+        for r, norm in ((r_a, norm_a), (r_b, norm_b))
+    )
+    t_rb, ra_t = (t * r_b[:, None, :]).sum(axis=2), (r_a[:, :, None] * t).sum(axis=1)
+    shift_a = (norm_a / 2.0)[:, None, None] * (
+        (f.alpha.sum(axis=1) / 2.0)[:, None] * t_rb[:, None, :] + f.beta[:, None] * r_a[:, None, :]
+    )
+    shift_b = (norm_b / 2.0)[:, None, None] * (
+        (f.alpha.sum(axis=0) / 2.0)[:, None] * ra_t[:, None, :] + f.gamma[:, None] * r_b[:, None, :]
+    )
+    offset = f.alpha.sum() * (r_a * t_rb).sum(axis=1) / 4.0
+    offset += (f.beta.sum() * norm_a**2 + f.gamma.sum() * norm_b**2) / 2.0
+    u = np.array([_gaussian_directions(f.shape[1], c) for c in cfgs])
+    starts = 2.0 * (u * unit_b[:, None, None, :]).sum(axis=-1, keepdims=True) * u - unit_b[:, None, None, :]
+    scaled_t = (norm_a * norm_b / 4.0)[:, None, None] * t
+    return [
+        (_from_thales(unit_a[g], a), _from_thales(unit_b[g], b), value + float(offset[g]), maps, converged)
+        for g, (a, b, value, maps, converged) in enumerate(
+            _bilinear_seesaw(f.alpha, scaled_t, shift_a, shift_b, starts, cfg)
+        )
+    ]
+
+
+def _from_thales(unit: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Unit settings u (k, 3) with (u.r)u = (r + |r| a^)/2 for the unit rows a^ of ``dirs``.
+
+    With p the unit part of a^ normal to r^ (projected twice) and
+    phi = atan2(|a^_perp|, a^.r^), r^ + a^ = 2 cos(phi/2) (cos(phi/2) r^ +
+    sin(phi/2) p), so u is the half-angle vector. Unlike (r^ + a^)/|r^ + a^|,
+    it stays accurate where a^ nearly equals -r^ (mean near zero); at
+    a^_perp = 0 any unit normal to r^ serves as p.
+    """
+    along = dirs @ unit
+    perp = dirs - along[:, None] * unit
+    perp -= (perp @ unit)[:, None] * unit
+    norms = np.sqrt((perp * perp).sum(axis=1))
+    normal = perp / np.where(norms > 0.0, norms, 1.0)[:, None]
+    normal[norms == 0.0] = _unit_normal(unit)
+    half = 0.5 * np.arctan2(norms, along)
+    return np.cos(half)[:, None] * unit + np.sin(half)[:, None] * normal
 
 
 MERMIN_SIGNS = {

@@ -19,10 +19,7 @@ from lpow import (
     asym_sup,
     bound_geometry_free,
     bound_orthogonal,
-    c3322_value,
     chsh_settings,
-    i2222_probability_value,
-    i3322_probability_value,
     lhv_bound,
     lpo_correlator,
     lpo_project,
@@ -30,7 +27,6 @@ from lpow import (
     mermin_value,
     optimize_functional_value,
     optimized_chsh,
-    perceived_expectation,
     planar_3322_settings,
     preset_functional,
     sym_sup,
@@ -58,8 +54,12 @@ from util import (
     random_orthogonal_scenario,
     random_product_state,
     random_scenario,
+    reference_c3322_value as c3322_value,
+    reference_i2222_affine_value as i2222_probability_value,
     reference_i2222_probability_value,
+    reference_i3322_affine_value as i3322_probability_value,
     reference_i3322_probability_value,
+    reference_perceived_expectation as perceived_expectation,
 )
 
 

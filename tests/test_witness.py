@@ -38,7 +38,8 @@ from lpow.states import (
     singlet,
     werner,
 )
-from lpow.witness import _mermin_terms, _plane_axes, _top_eigenpairs
+from lpow.linalg import PAULIS
+from lpow.witness import _mermin_terms
 from util import (
     ginibre_state,
     random_directions,
@@ -52,8 +53,6 @@ from util import (
     reference_bloch_vector,
     reference_mermin_correlator,
     reference_mermin_vertex_max,
-    reference_setting_forms,
-    reference_top_eigenpairs,
 )
 
 
@@ -421,6 +420,49 @@ class TestSymWitnessSup:
                     scenario = report.optimizing_scenario
                     assert scenario.orthogonal == (constraint == "orthogonal")
                     assert abs(sym_value_fixed(rho, f, scenario) - report.value) < 1e-10
+        # A skew functional on pure states: the optimal free a^ may sit within
+        # 1e-12 of -r^, where the direction of r^ + a^ is rounding noise, so
+        # the settings must map back through the half angle.
+        skew = BellFunctional(
+            alpha=np.array([[1.0, -0.5, 0.7], [0.3, 1.0, -1.0]]),
+            beta=np.array([0.4, -0.2]),
+            gamma=np.array([-0.3, 0.5, 0.1]),
+        )
+        for constraint in ("free", "orthogonal"):
+            for _ in range(20):
+                rho = random_pure_state(rng)
+                report = sym_sup(rho, skew, constraint, cfg)
+                assert abs(sym_value_fixed(rho, skew, report.optimizing_scenario) - report.value) < 1e-10
+
+    @pytest.mark.parametrize("p", [0.49, 0.51])
+    def test_c3322_converges_on_transition(self, p):
+        report = sym_sup(make_state("transition", p=p), preset_functional("c3322"), "free")
+        assert report.converged
+        assert report.restarts_used == 64
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_exact_at_a_maximally_mixed_marginal(self, rng, side):
+        # rho_A x 1/2 (or 1/2 x rho_B) has T = 0 and one marginal r = 0, so the
+        # witness is sum beta_x a_x^2 (or sum gamma_y b_y^2), at most
+        # sum beta_+ |r_A|^2 with every positive-beta setting along r_A. A
+        # positive coefficient keeps the cap above zero, so it is optimized.
+        f = BellFunctional(
+            alpha=np.array([[1.0, -0.5, 0.7], [0.3, 1.0, -1.0], [0.2, 0.4, 0.9]]),
+            beta=np.array([0.6, -0.3, 0.25]),
+            gamma=np.array([0.45, -0.2, 0.3]),
+        )
+        cfg = OptimizerConfig(restarts=16, seed=2)
+        for _ in range(5):
+            one = rng.uniform(0.2, 1.0) * random_directions(rng, 1)[0]
+            rho_one = 0.5 * (np.eye(2) + np.tensordot(one, PAULIS, axes=1))
+            pair = (rho_one, np.eye(2) / 2.0) if side == 0 else (np.eye(2) / 2.0, rho_one)
+            rho = DensityMatrix(np.kron(*pair), (2, 2))
+            coef = f.beta if side == 0 else f.gamma
+            exact = np.maximum(coef, 0.0).sum() * (one @ one)
+            report = sym_sup(rho, f, "free", cfg)
+            assert report.restarts_used == 16
+            assert abs(report.value - exact) <= 1e-12
+            assert abs(sym_value_fixed(rho, f, report.optimizing_scenario) - exact) <= 1e-12
 
     def test_c3322_stays_under_geometry_free_cap(self, rng):
         f = preset_functional("c3322")
@@ -455,81 +497,6 @@ class TestSymWitnessSup:
             for name in ("chsh", "c3322"):
                 report = sym_sup(rho, preset_functional(name), "free", OptimizerConfig(restarts=8))
                 assert report.restarts_used == 8
-
-
-SCALE_TOL = 2e-15
-
-
-def assert_top_eigenpairs(r, w, q):
-    """The closed form against eigh: lambda, |u| = 1 and u^T M u = lambda, to 2e-15 x scale.
-
-    The scale |r|(|w| + |q||r|) bounds the spectral norm of M.
-    """
-    u, lam = (x[0] for x in _top_eigenpairs(_plane_axes(r[None]), w[None], q))
-    forms = reference_setting_forms(r, w, q)
-    norm_r = np.linalg.norm(r)
-    scale = norm_r * (np.linalg.norm(w, axis=-1) + np.abs(q) * norm_r)
-    assert u.shape == w.shape and lam.shape == w.shape[:-1]
-    assert np.all(np.abs(lam - reference_top_eigenpairs(r, w, q)[1]) <= SCALE_TOL * scale)
-    assert np.all(np.abs(np.linalg.norm(u, axis=-1) - 1.0) <= 1e-15)
-    quad = np.einsum("...a,...ab,...b->...", u, forms, u)
-    assert np.all(np.abs(quad - lam) <= SCALE_TOL * scale)
-    return u, lam
-
-
-class TestTopEigenpairs:
-    """The free block update's closed-form top eigenpair of M = sym(r w^T) + q r r^T."""
-
-    def test_random_forms_match_eigh(self, rng):
-        for index in range(200):
-            k = 2 + index % 2
-            r = rng.normal(size=3) * 10.0 ** rng.uniform(-2, 1)
-            w = rng.normal(size=(25, k, 3)) * 10.0 ** rng.uniform(-2, 1)
-            q = rng.normal(size=k) if index % 3 else np.zeros(k)
-            assert_top_eigenpairs(r, w, q)
-
-    def test_zero_marginal_gives_z(self, rng):
-        w = rng.normal(size=(4, 3, 3))
-        u, lam = assert_top_eigenpairs(np.zeros(3), w, rng.normal(size=3))
-        assert np.array_equal(u, np.broadcast_to([0.0, 0.0, 1.0], w.shape))
-        assert np.array_equal(lam, np.zeros((4, 3)))
-
-    def test_zero_w_is_the_quadratic_term(self, rng):
-        q = np.array([1.5, 0.0, -0.7])
-        for _ in range(20):
-            r = rng.normal(size=3)
-            u, lam = assert_top_eigenpairs(r, np.zeros((2, 3, 3)), q)
-            assert np.allclose(lam, [[1.5 * (r @ r), 0.0, 0.0]] * 2, rtol=1e-15, atol=0.0)
-            # q < 0: the maximizer is orthogonal to r.
-            assert np.abs(u[:, 2] @ r).max() <= 1e-15 * np.linalg.norm(r)
-
-    @pytest.mark.parametrize("sign", [1.0, 0.0, -1.0], ids=["tau_pos", "tau_zero", "tau_neg"])
-    def test_w_parallel_to_r(self, rng, sign):
-        for index in range(50):
-            axis = index % 5 == 0
-            r = np.array([0.0, 0.0, 2.0]) if axis else rng.normal(size=3)
-            c = rng.choice([-1.75, -0.5, 0.25, 1.5], size=3)
-            w = (c[:, None] * r)[None]
-            # tau = |r|^2 (c + q) takes the sign under test.
-            q = -c + sign * rng.uniform(0.5, 2.0, size=3)
-            u, lam = assert_top_eigenpairs(r, w, q)
-            if sign == 0.0 and axis:
-                # Exact arithmetic on the z axis: M = 0, returned as r^.
-                assert np.array_equal(lam, np.zeros((1, 3)))
-                assert np.array_equal(u, np.broadcast_to([0.0, 0.0, 1.0], w.shape))
-            if sign < 0.0:
-                # The maximizer is orthogonal to r, at lambda = 0.
-                assert np.abs(u @ r).max() <= 1e-15 * np.linalg.norm(r)
-                if axis:
-                    assert np.array_equal(lam, np.zeros((1, 3)))
-
-    @pytest.mark.parametrize("q_scale", [0.0, 1.0], ids=["q_zero", "q_nonzero"])
-    def test_w_tilted_off_r(self, rng, q_scale):
-        for index in range(50):
-            r = rng.normal(size=3) if index % 5 else np.array([0.0, 2.0, 0.0])
-            tilt = rng.normal(size=(6, 3, 3))
-            w = rng.choice([-1.0, 1.0], size=(6, 3, 1)) * r + 1e-9 * np.linalg.norm(r) * tilt
-            assert_top_eigenpairs(r, w, q_scale * rng.normal(size=3))
 
 
 class TestMermin:

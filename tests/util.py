@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 
 from lpow import (
     DensityMatrix,
     WitnessReport,
-    bell_operator_matrix,
-    cond_joint_prob,
+    functional_value,
     lhv_bound,
     lpo_project,
     marginal_means,
@@ -18,7 +18,7 @@ from lpow import (
     scenario_from_directions,
 )
 from lpow.bell import _sign_vertices
-from lpow.linalg import PAULIS, kron
+from lpow.linalg import HERMITICITY_TOL, PAULIS, dagger, kron
 from lpow.states import first_moments
 from lpow.witness import DEGENERATE_NORM, MERMIN_SIGNS
 
@@ -216,7 +216,7 @@ def assert_means_match_traces(rho: DensityMatrix, s, tol: float = 1e-12) -> None
 def operator_asym_value(rho: DensityMatrix, f, s) -> float:
     """Tr[(rho_A x rho_B) B(s)] with the assembled 4x4 Bell operator."""
     rho_prod = kron(rho.marginal(0).matrix, rho.marginal(1).matrix)
-    return float(np.trace(rho_prod @ bell_operator_matrix(f, s)).real)
+    return float(np.trace(rho_prod @ reference_bell_operator_matrix(f, s)).real)
 
 
 def perceived_product(x: np.ndarray, rho: DensityMatrix) -> float:
@@ -413,7 +413,7 @@ def reference_i3322_probability_value(rho: DensityMatrix, s) -> float:
     alpha = preset_functional("c3322").alpha
 
     def p_joint(x: int, y: int) -> float:
-        return cond_joint_prob(0, 0, means.a[x], means.b[y], means.c[x, y])
+        return reference_cond_joint_prob(0, 0, means.a[x], means.b[y], means.c[x, y])
 
     joint = sum(
         alpha[x, y] * p_joint(x, y) for x in range(3) for y in range(3) if alpha[x, y] != 0.0
@@ -434,9 +434,96 @@ def reference_i2222_probability_value(rho: DensityMatrix, s) -> float:
     means = marginal_means(rho, s)
 
     def p_joint(x: int, y: int) -> float:
-        return cond_joint_prob(0, 0, means.a[x], means.b[y], means.c[x, y])
+        return reference_cond_joint_prob(0, 0, means.a[x], means.b[y], means.c[x, y])
 
     joint = p_joint(0, 0) + p_joint(0, 1) + p_joint(1, 0) - p_joint(1, 1)
     p_a1 = 0.5 * (1.0 + means.a[0])
     p_b1 = 0.5 * (1.0 + means.b[0])
     return float(joint - p_a1 - p_b1)
+
+
+# Library oracles: functions that once stood in the public API although only
+# tests called them, moved here verbatim. The probability forms are the
+# affine images of the correlator forms that the joint-probability oracles
+# above must match.
+
+IDENTITY_TOL = 1e-10
+
+
+def reference_bell_operator_matrix(f, s) -> np.ndarray:
+    """Assemble the 4x4 Bell operator from coefficients and settings."""
+    m, n = f.shape
+    if len(s.alice) != m or len(s.bob) != n:
+        raise ValueError("scenario setting counts do not match functional shape")
+    i2 = np.eye(2)
+    out = np.zeros((4, 4), dtype=complex)
+    for x in range(m):
+        for y in range(n):
+            out += f.alpha[x, y] * kron(s.alice[x].matrix, s.bob[y].matrix)
+    for x in range(m):
+        out += f.beta[x] * kron(s.alice[x].matrix, i2)
+    for y in range(n):
+        out += f.gamma[y] * kron(i2, s.bob[y].matrix)
+    return out
+
+
+def reference_cond_joint_prob(a_out: int, b_out: int, c_ai: float, c_ib: float, c_ab: float) -> float:
+    """Joint outcome probability from one- and two-party correlators.
+
+    P(a, b) = (1 + (-1)^a C_AI + (-1)^b C_IB + (-1)^(a+b) C_AB) / 4. Triples
+    outside the physical range produce values outside [0, 1]; those are
+    flagged with a warning rather than an error.
+    """
+    if a_out not in (0, 1) or b_out not in (0, 1):
+        raise ValueError("outcomes must be bits")
+    for name, c in (("c_ai", c_ai), ("c_ib", c_ib), ("c_ab", c_ab)):
+        if abs(c) > 1.0 + IDENTITY_TOL:
+            raise ValueError(f"{name}={c} outside [-1, 1]")
+    sa = -1.0 if a_out else 1.0
+    sb = -1.0 if b_out else 1.0
+    p = 0.25 * (1.0 + sa * c_ai + sb * c_ib + sa * sb * c_ab)
+    if p < -IDENTITY_TOL or p > 1.0 + IDENTITY_TOL:
+        warnings.warn(f"unphysical correlator triple: probability {p}", stacklevel=2)
+    return float(p)
+
+
+def reference_c3322_value(rho: DensityMatrix, s) -> float:
+    """Correlator-form 3-setting inequality value (classical bound 4)."""
+    if len(s.alice) != 3 or len(s.bob) != 3:
+        raise ValueError("c3322_value needs 3 settings per party")
+    return functional_value(rho, preset_functional("c3322"), s)
+
+
+def reference_i3322_affine_value(rho: DensityMatrix, s) -> float:
+    """Probability-form 3-setting inequality value (classical bound 0).
+
+    Every joint probability is an affine image of the correlators, so the
+    value is the affine image I = C/4 - 1 of the correlator form C =
+    ``reference_c3322_value``.
+    """
+    if len(s.alice) != 3 or len(s.bob) != 3:
+        raise ValueError("i3322_probability_value needs 3 settings per party")
+    return reference_c3322_value(rho, s) / 4.0 - 1.0
+
+
+def reference_i2222_affine_value(rho: DensityMatrix, s) -> float:
+    """Probability-form 2-setting inequality value (classical bound 0).
+
+    Equals S/4 - 1/2 for the CHSH combination S at the same settings.
+    """
+    if len(s.alice) != 2 or len(s.bob) != 2:
+        raise ValueError("i2222_probability_value needs 2 settings per party")
+    return functional_value(rho, preset_functional("chsh"), s) / 4.0 - 0.5
+
+
+def reference_perceived_expectation(x: np.ndarray, rho: DensityMatrix, side: int = 0) -> float:
+    """Expectation of the perceived operator in the kept party's marginal.
+
+    Equals Tr[(rho_A x rho_B x ...) X], hence the same number for every
+    choice of ``side``.
+    """
+    x = np.asarray(x, dtype=complex)
+    if np.abs(x - dagger(x)).max() > HERMITICITY_TOL:
+        raise ValueError("perceived_expectation requires a Hermitian operator")
+    local = lpo_project(x, rho, side)
+    return float(np.trace(rho.marginal(side).matrix @ local.matrix).real)
