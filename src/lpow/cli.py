@@ -54,12 +54,8 @@ def _parse_list(spec: str) -> list[str]:
 
 
 def _optimizer_from_args(args) -> OptimizerConfig:
-    kwargs = {}
-    if getattr(args, "restarts", None) is not None:
-        kwargs["restarts"] = args.restarts
-    if getattr(args, "seed", None) is not None:
-        kwargs["seed"] = args.seed
-    return OptimizerConfig(**kwargs)
+    kwargs = {"restarts": args.restarts, "seed": args.seed}
+    return OptimizerConfig(**{k: v for k, v in kwargs.items() if v is not None})
 
 
 def _cmd_report(args) -> int:
@@ -103,24 +99,17 @@ def _specs_from_config(path: str) -> list[SweepSpec]:
         missing = [k for k in ("family", "param", "grid", "quantities", "out") if k not in raw]
         if missing:
             raise ValueError(f"section [{section}] is missing: {', '.join(missing)}")
-        fixed: dict[str, float] = {}
-        if raw.get("fixed"):
-            _, fixed = _parse_state("x:" + raw["fixed"])
-        optimizer = OptimizerConfig(
-            restarts=raw.getint("restarts", 64),
-            seed=raw.getint("seed", 0),
+        fixed = f":{raw['fixed']}" if raw.get("fixed") else ""
+        args = argparse.Namespace(
+            state=raw["family"] + fixed,
+            param=raw["param"],
+            grid=raw["grid"],
+            quantities=raw["quantities"],
+            out=raw["out"],
+            restarts=raw.getint("restarts"),
+            seed=raw.getint("seed"),
         )
-        specs.append(
-            SweepSpec(
-                family=raw["family"],
-                sweep_param=raw["param"],
-                grid=_parse_grid(raw["grid"]),
-                quantities=tuple(_parse_list(raw["quantities"])),
-                fixed_params=fixed,
-                optimizer=optimizer,
-                output_path=raw["out"],
-            )
-        )
+        specs.append(_spec_from_inline(args))
     if not specs:
         raise ValueError(f"config file {path} defines no sweeps")
     return specs
@@ -134,9 +123,6 @@ def _cmd_sweep(args) -> int:
             raise ValueError("sweep needs --state or --config")
         specs = [_spec_from_inline(args)]
     for spec in specs:
-        out = Path(spec.output_path)
-        if out.parent and not out.parent.exists():
-            out.parent.mkdir(parents=True, exist_ok=True)
         sweep_to_csv(spec)
     return EXIT_OK
 

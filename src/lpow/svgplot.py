@@ -37,12 +37,17 @@ def render_line_chart(
 ) -> None:
     """Write a line chart with one polyline per series.
 
-    ``bounds`` adds one horizontal reference rule per value. Non-finite
-    samples are dropped from their series so each column still renders as a
-    single polyline. Text is XML-escaped.
+    ``bounds`` adds one horizontal reference rule per value; bounds and ``x``
+    must be finite. Non-finite samples are dropped from their series so each
+    column still renders as a single polyline. Text is XML-escaped.
     """
     title, xlabel, ylabel = html.escape(title), html.escape(xlabel), html.escape(ylabel)
     x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError("chart x values must all be finite")
+    bounds = tuple(float(b) for b in bounds)
+    if not all(map(math.isfinite, bounds)):
+        raise ValueError(f"chart bounds must be finite, got {bounds!r}")
     finite_y = [
         v
         for vals in series.values()
@@ -116,15 +121,15 @@ def render_line_chart(
     )
 
     for bound in bounds:
-        py = sy(float(bound))
+        py = sy(bound)
         parts.append(
             f'<line class="bound" x1="{MARGIN_LEFT}" y1="{py:.2f}" '
             f'x2="{MARGIN_LEFT + plot_w}" y2="{py:.2f}" stroke="gray" '
-            f'stroke-dasharray="6 4" data-bound="{_fmt(float(bound))}"/>'
+            f'stroke-dasharray="6 4" data-bound="{_fmt(bound)}"/>'
         )
         parts.append(
             f'<text x="{MARGIN_LEFT + plot_w - 4}" y="{py - 4:.2f}" text-anchor="end" '
-            f'fill="gray">{_fmt(float(bound))}</text>'
+            f'fill="gray">{_fmt(bound)}</text>'
         )
 
     legend_y = MARGIN_TOP + 14
@@ -132,7 +137,7 @@ def render_line_chart(
         color = PALETTE[idx % len(PALETTE)]
         name = html.escape(name)
         vals = np.asarray(vals, dtype=float)
-        keep = np.isfinite(vals) & np.isfinite(x)
+        keep = np.isfinite(vals)
         points = " ".join(
             f"{sx(float(xi)):.2f},{sy(float(vi)):.2f}"
             for xi, vi in zip(x[keep], vals[keep])

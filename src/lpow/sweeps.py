@@ -40,6 +40,9 @@ class SweepSpec:
         unknown = [q for q in self.quantities if q not in QUANTITY_NAMES]
         if unknown:
             raise ValueError(f"unknown quantity name(s): {', '.join(sorted(unknown))}")
+        repeated = ", ".join(sorted({q for q in self.quantities if self.quantities.count(q) > 1}))
+        if repeated:
+            raise ValueError(f"quantity name(s) given more than once: {repeated}")
         object.__setattr__(self, "grid", (float(start), float(stop), int(count)))
 
     def grid_values(self) -> np.ndarray:
@@ -130,6 +133,9 @@ def read_csv(path: str | Path) -> tuple[list[str], dict[str, np.ndarray]]:
     if len(lines) < 2:
         raise ValueError(f"{path}: {'no data rows' if lines else 'empty file'}")
     header = lines[0][1].split(",")
+    repeated = ", ".join(sorted({repr(name) for name in header if header.count(name) > 1}))
+    if repeated:
+        raise ValueError(f"{path}, line {lines[0][0]}: repeated column {repeated}")
     columns: dict[str, list[float]] = {name: [] for name in header}
     for number, line in lines[1:]:
         cells = line.split(",")
@@ -145,13 +151,13 @@ def read_csv(path: str | Path) -> tuple[list[str], dict[str, np.ndarray]]:
     return header, {name: np.array(vals) for name, vals in columns.items()}
 
 
-def sweep_to_csv(spec: SweepSpec, path: str | Path | None = None) -> SweepResult:
-    """Run a sweep and write its CSV, forwarding warnings to standard error."""
-    result = run_sweep(spec)
-    target = path if path is not None else spec.output_path
-    if target is None:
+def sweep_to_csv(spec: SweepSpec) -> SweepResult:
+    """Make the directory of ``spec.output_path``, run the sweep, write its CSV; warnings to stderr."""
+    if spec.output_path is None:
         raise ValueError("no output path given")
+    Path(spec.output_path).parent.mkdir(parents=True, exist_ok=True)
+    result = run_sweep(spec)
     for note in result.warnings:
         print(f"warning: {note}", file=sys.stderr)
-    write_csv(result, target)
+    write_csv(result, spec.output_path)
     return result

@@ -1,15 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, settings
-
-settings.register_profile(
-    "default",
-    deadline=None,
-    max_examples=50,
-    suppress_health_check=[HealthCheck.too_slow],
-    print_blob=True,
-)
-settings.load_profile("default")
 
 
 @pytest.fixture

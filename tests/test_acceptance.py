@@ -281,13 +281,17 @@ def test_sweeps_with_identical_seeds_are_byte_identical(tmp_path):
 
 @pytest.mark.parametrize("figure", ["transition", "werner", "classical", "cg"])
 def test_committed_results_regenerate(figure, tmp_path, monkeypatch, capsys):
-    # scripts/<figure>_figure.py at its defaults reproduces results/<figure>.csv.
+    # scripts/figures.py <figure> at its defaults reproduces results/<figure>.csv
+    # and, byte for byte, results/<figure>.svg.
     t0 = time.perf_counter()
     root = Path(__file__).resolve().parents[1]
-    script = root / "scripts" / f"{figure}_figure.py"
-    monkeypatch.setattr(sys, "argv", [str(script), "--out-dir", str(tmp_path)])
+    script = root / "scripts" / "figures.py"
+    monkeypatch.setattr(sys, "argv", [str(script), figure, "--out-dir", str(tmp_path)])
     runpy.run_path(str(script), run_name="__main__")
-    assert "warning" not in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "warning" not in captured.out + captured.err
+    fresh_svg = (tmp_path / f"{figure}.svg").read_bytes()
+    assert fresh_svg == (root / "results" / f"{figure}.svg").read_bytes()
     header, committed = read_csv(root / "results" / f"{figure}.csv")
     fresh_header, fresh = read_csv(tmp_path / f"{figure}.csv")
     assert fresh_header == header

@@ -156,6 +156,25 @@ out = {tmp_path / 'b.csv'}
         header, _ = read_csv(tmp_path / "b.csv")
         assert header == ["param", "i2222_lpo_tilde"]
 
+    def test_config_sections_write_the_inline_bytes(self, tmp_path):
+        # One section sets fixed, restarts and seed; the other takes the defaults.
+        quantities = "i3322_tilde,s_chsh_lpo"
+        cfg = tmp_path / "pair.ini"
+        cfg.write_text(
+            f"[tuned]\nfamily = classical\nparam = theta\ngrid = 0.1:1.5:3\nquantities = {quantities}\n"
+            f"fixed = beta=0.3\nrestarts = 8\nseed = 5\nout = {tmp_path / 'cfg-tuned.csv'}\n"
+            f"[plain]\nfamily = transition\nparam = p\ngrid = 0.1:0.9:3\nquantities = {quantities}\n"
+            f"out = {tmp_path / 'cfg-plain.csv'}\n"
+        )
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        tuned = ["--state", "classical:beta=0.3", "--param", "theta", "--grid", "0.1:1.5:3",
+                 "--restarts", "8", "--seed", "5"]
+        plain = ["--state", "transition", "--param", "p", "--grid", "0.1:0.9:3"]
+        for name, args in (("tuned", tuned), ("plain", plain)):
+            out = tmp_path / f"{name}.csv"
+            assert main(["sweep", *args, "--quantities", quantities, "--out", str(out)]) == 0
+            assert (tmp_path / f"cfg-{name}.csv").read_bytes() == out.read_bytes()
+
     def test_config_missing_keys_is_usage_error(self, tmp_path):
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[s]\nfamily = werner\n")
@@ -306,6 +325,23 @@ class TestPlot:
         assert main(["plot", str(path), "--out", str(svg)]) == 2
         err = capsys.readouterr().err
         assert f"{path}, line 2, column 'a': not a number: 'abc'" in err
+        assert not svg.exists()
+
+    @pytest.mark.parametrize(
+        "text, bounds, message",
+        [
+            ("param,a\n0,1\n1,2\n", "inf", "bounds must be finite"),
+            ("param,a\n0,1\n1,2\n", "1.0,nan", "bounds must be finite"),
+            ("param,a\n0,1\nnan,2\n", "1.0", "x values must all be finite"),
+        ],
+        ids=["inf-bound", "nan-bound", "nan-param"],
+    )
+    def test_non_finite_bound_or_param_is_usage_error(self, tmp_path, capsys, text, bounds, message):
+        path = tmp_path / "ok.csv"
+        path.write_text(text)
+        svg = tmp_path / "b.svg"
+        assert main(["plot", str(path), "--bounds", bounds, "--out", str(svg)]) == 2
+        assert message in capsys.readouterr().err
         assert not svg.exists()
 
     def test_svg_text_is_escaped(self, tmp_path):

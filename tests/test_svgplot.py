@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -68,3 +70,19 @@ def test_output_is_ascii_with_lf_endings(chart_path):
     raw = chart_path.read_bytes()
     raw.decode("ascii")
     assert b"\r" not in raw
+
+
+@pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan])
+def test_non_finite_bound_is_rejected(chart_path, bound):
+    x = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(ValueError, match="bounds must be finite"):
+        render_line_chart(x, {"y": x}, chart_path, bounds=(1.0, bound))
+    assert not chart_path.exists()
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_x_is_rejected(chart_path, bad):
+    x = np.array([0.0, 0.5, bad])
+    with pytest.raises(ValueError, match="x values must all be finite"):
+        render_line_chart(x, {"y": np.ones(3)}, chart_path)
+    assert not chart_path.exists()

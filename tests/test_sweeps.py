@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import lpow.bell
+import lpow.sweeps
 from lpow import OptimizerConfig, compute_quantities, preset_functional, sym_sup
 from lpow.states import make_state
 from lpow.sweeps import (
@@ -48,6 +49,10 @@ class TestSweepSpec:
             small_spec(quantities=())
         with pytest.raises(ValueError, match="unknown quantity"):
             small_spec(quantities=("bogus",))
+
+    def test_repeated_quantity_is_rejected(self):
+        with pytest.raises(ValueError, match="given more than once: s_chsh$"):
+            small_spec(quantities=("s_chsh", "bloch_norm_a", "s_chsh"))
 
     def test_grid_values_linspace(self):
         spec = small_spec(grid=(0.0, 2.0, 5))
@@ -241,6 +246,13 @@ class TestCsv:
             read_csv(path)
         assert str(info.value) == f"{path}, line 4, column 'b': not a number: 'x1'"
 
+    def test_repeated_header_name_is_malformed(self, tmp_path):
+        path = tmp_path / "twice.csv"
+        path.write_text("param,s_chsh,s_chsh\n0,1,2\n")
+        with pytest.raises(ValueError) as info:
+            read_csv(path)
+        assert str(info.value) == f"{path}, line 1: repeated column 's_chsh'"
+
     def test_line_endings_and_charset(self, tmp_path):
         result = run_sweep(small_spec())
         path = tmp_path / "out.csv"
@@ -268,3 +280,19 @@ class TestCsv:
     def test_sweep_to_csv_requires_target(self):
         with pytest.raises(ValueError, match="output path"):
             sweep_to_csv(small_spec())
+
+    def test_sweep_to_csv_fails_on_its_target_before_sweeping(self, tmp_path, monkeypatch):
+        def no_sweep(spec):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(lpow.sweeps, "run_sweep", no_sweep)
+        with pytest.raises(ValueError, match="output path"):
+            sweep_to_csv(small_spec())
+        (tmp_path / "blocker").write_text("a file, not a directory")
+        with pytest.raises(OSError):
+            sweep_to_csv(small_spec(output_path=tmp_path / "blocker" / "sub" / "w.csv"))
+
+    def test_sweep_to_csv_makes_the_target_directory(self, tmp_path):
+        target = tmp_path / "deep" / "nested" / "w.csv"
+        sweep_to_csv(small_spec(quantities=("horodecki_m",), output_path=target))
+        assert read_csv(target)[0] == ["param", "horodecki_m"]
