@@ -59,7 +59,7 @@ def main() -> None:
     parser.add_argument("figures", nargs="*", metavar="figure", help="a name above (default: all)")
     parser.add_argument("--out-dir", type=Path, default=Path("results"))
     parser.add_argument("--points", type=int, help="grid points (default: the figure's own)")
-    parser.add_argument("--restarts", type=int, default=64)
+    parser.add_argument("--restarts", type=int, help="optimizer restarts (default: OptimizerConfig's)")
     parser.add_argument("--seed", type=int, help="optimizer seed (default: the figure's own)")
     args = parser.parse_args()
     unknown = [name for name in args.figures if name not in FIGURES]
@@ -69,11 +69,11 @@ def main() -> None:
     for name in args.figures or FIGURES:
         spec, ylabel, bounds, title = FIGURES[name]
         start, stop, points = spec.grid
-        seed = spec.optimizer.seed if args.seed is None else args.seed
+        given = {k: v for k, v in (("restarts", args.restarts), ("seed", args.seed)) if v is not None}
         spec = replace(
             spec,
             grid=(start, stop, points if args.points is None else args.points),
-            optimizer=OptimizerConfig(restarts=args.restarts, seed=seed),
+            optimizer=replace(spec.optimizer, **given),
             output_path=args.out_dir / f"{name}.csv",
         )
         result = sweep_to_csv(spec)

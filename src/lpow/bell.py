@@ -224,7 +224,7 @@ class OptimizerConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        if not 0.0 < self.value_tolerance < math.inf:
+        if isinstance(self.value_tolerance, (bool, np.bool_)) or not 0.0 < self.value_tolerance < math.inf:
             raise ValueError(
                 f"tolerances must be positive and finite, got value_tolerance={self.value_tolerance!r}"
             )

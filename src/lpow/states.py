@@ -11,8 +11,6 @@ import numpy as np
 from .linalg import HERMITICITY_TOL, PSD_EIG_FLOOR, PAULIS, dagger, kron, partial_trace, singular_values
 
 TRACE_TOL = 1e-12
-BISECTION_TOL = 1e-10
-_BISECTION_RTOL = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -30,7 +28,10 @@ class DensityMatrix:
         m = np.array(self.matrix, dtype=complex)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        dims = tuple(self.dims)
+        if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d >= 1 for d in dims):
+            raise ValueError(f"dims must be integers >= 1, got {dims!r}")
+        object.__setattr__(self, "dims", tuple(int(d) for d in dims))
         total = math.prod(self.dims)
         if m.shape != (total, total):
             raise ValueError(f"matrix shape {m.shape} does not match dims {self.dims}")
@@ -241,9 +242,9 @@ def _pure_product_from_params(params) -> DensityMatrix:
 def make_state(family: str, **params) -> DensityMatrix:
     """Build a named state family instance.
 
-    ``cg`` accepts ``theta`` alone, in which case ``lam`` is solved on the
-    fly so the settings-optimized CHSH value sits exactly at the classical
-    bound. ``pure_product`` accepts explicit ``kets`` or per-party Bloch
+    ``cg`` accepts ``theta`` alone, in which case ``cg_lambda`` solves
+    ``lam`` in closed form so the settings-optimized CHSH value sits at the
+    classical bound. ``pure_product`` accepts explicit ``kets`` or per-party Bloch
     angles ``theta_a``/``phi_a``, ``theta_b``/``phi_b``, ...
     """
     for key, value in params.items():
@@ -254,15 +255,14 @@ def make_state(family: str, **params) -> DensityMatrix:
     if family not in _FAMILIES:
         raise ValueError(f"unknown state family {family!r}")
     fn, names = _FAMILIES[family]
-    if family == "cg" and "lam" not in params:
-        params = dict(params)
-        params["lam"] = cg_lambda(params["theta"])
     extra = set(params) - set(names)
-    missing = set(names) - set(params)
+    missing = set(names) - set(params) - ({"lam"} if family == "cg" else set())
     if extra:
         raise ValueError(f"unknown parameter(s) {sorted(extra)} for family {family!r}")
     if missing:
         raise ValueError(f"missing parameter(s) {sorted(missing)} for family {family!r}")
+    if family == "cg" and "lam" not in params:
+        params = {**params, "lam": cg_lambda(float(params["theta"]))}
     return fn(**{k: float(params[k]) for k in names})
 
 
@@ -350,47 +350,18 @@ def optimized_chsh(rho: DensityMatrix) -> float:
     return 2.0 * horodecki(rho).m_value
 
 
-def _cg_chsh_gap(theta: float, lam):
-    """s1^2 + s2^2 - 1 of ``cg(theta, lam)``, elementwise over an array of ``lam``.
-
-    The correlation matrix is diag(lam s, -lam s, 2 lam - 1) with
-    s = sin(2 theta), so its singular values are the absolute diagonal
-    entries: s2 = lam s and s1 = max(lam s, |2 lam - 1|).
-    """
-    t = lam * math.sin(2.0 * theta)
-    z = 2.0 * lam - 1.0
-    return t * t + np.maximum(t * t, z * z) - 1.0
-
-
 def cg_lambda(theta: float) -> float:
     """Mixing weight at which the optimized CHSH value of ``cg(theta, .)`` equals 2.
 
-    The root of s1^2 + s2^2 - 1, computed from the first-moment correlation
-    matrix diag(lam s, -lam s, 2 lam - 1), s = sin(2 theta), so no state is
-    built and no settings optimization enters. A 401-point scan of [0, 1]
-    brackets the last sign change. The bisection follows the usual
-    bracketing rule step for step: halve the step and probe lo + step; move
-    lo there when the gap has lo's sign (or is zero); return the probe once
-    the gap is zero or the step is below ``BISECTION_TOL`` + 4 eps |probe|.
+    The correlation matrix is diag(lam s, -lam s, 2 lam - 1) with
+    s = sin(2 theta), so s1^2 + s2^2 = 1 has one root in (0, 1] besides
+    lam = 0. Where |2 lam - 1| >= lam s it is lam = 4 / (s^2 + 4), which holds
+    for s <= 2 (sqrt(2) - 1); else it is lam = 1 / (sqrt(2) s), which holds
+    for s >= 2 (sqrt(2) - 1). The two roots meet at s = 2 (sqrt(2) - 1), so
+    one case always applies.
     """
     if not 0.0 < theta < math.pi / 2:
         raise ValueError("theta must lie in (0, pi/2)")
-    grid = np.linspace(0.0, 1.0, 401)
-    vals = _cg_chsh_gap(theta, grid)
-    rising = np.flatnonzero((vals[1:] > 0.0) & (vals[:-1] <= 0.0))
-    if rising.size == 0:
-        raise ValueError(f"no crossing of the classical CHSH bound for theta={theta}")
-    i = rising[-1]
-    lo, f_lo = float(grid[i]), vals[i]
-    if f_lo == 0.0:
-        return lo
-    step = float(grid[i + 1]) - lo
-    # The bracket is 1/400 wide, so this stops after about 25 halvings.
-    while True:
-        step *= 0.5
-        mid = lo + step
-        f_mid = _cg_chsh_gap(theta, mid)
-        if f_mid * f_lo >= 0.0:
-            lo = mid
-        if f_mid == 0.0 or abs(step) < BISECTION_TOL + _BISECTION_RTOL * abs(mid):
-            return mid
+    s = math.sin(2.0 * theta)
+    lam_z = 4.0 / (s * s + 4.0)
+    return lam_z if abs(2.0 * lam_z - 1.0) >= lam_z * s else 1.0 / (math.sqrt(2.0) * s)

@@ -88,6 +88,18 @@ class TestReport:
         assert main(["report", "--state", "singlet", "--quantities", "s_chsh", "--seed", "-1"]) == 2
         assert "seed must be an integer >= 0" in capsys.readouterr().err
 
+    def test_cg_without_theta_is_usage_error(self):
+        proc = run_cli("report", "--state", "cg", "--quantities", "s_chsh")
+        assert proc.returncode == 2
+        assert "missing parameter(s) ['theta'] for family 'cg'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_cg_near_the_domain_ends_is_solved(self):
+        for theta in ("1e-9", "1.5707963257948965"):
+            proc = run_cli("report", "--state", f"cg:theta={theta}", "--quantities", "s_chsh")
+            assert proc.returncode == 0, proc.stderr
+            assert abs(reported_value(proc.stdout) - 2.0) <= 1e-14
+
     def test_non_finite_state_parameter_is_named(self):
         proc = run_cli(
             "report", "--state", "classical:theta=nan,beta=0", "--quantities", "s_chsh"

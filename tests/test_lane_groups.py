@@ -118,13 +118,13 @@ def test_each_group_matches_its_state_alone(grid, optimizer, seesaw_groups):
 
 def test_groups_retire_at_different_map_counts(seesaw_groups):
     # A product state stops after the first cycle's two maps, cg at 0.02
-    # crawls for 303, and the others stop in between, so lanes leave the
+    # crawls for 300, and the others stop in between, so lanes leave the
     # batch at every stage while the rest run on.
     points = [(transition(1.0), 7), *cg_grid()[:6]]
     cfgs = [OptimizerConfig(restarts=16, seed=seed) for _, seed in points]
     stacked = run_functional([rho for rho, _ in points], cfgs)
     maps = [group[3] for group in seesaw_groups[0]]
-    assert maps[:2] == [2, 303] and len(set(maps)) == len(maps)
+    assert maps[:2] == [2, 300] and len(set(maps)) == len(maps)
     for (rho, _), cfg, opt in zip(points, cfgs, stacked):
         assert result_key(opt) == result_key(alone_functional(rho, cfg))
 

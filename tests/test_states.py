@@ -25,7 +25,6 @@ from lpow import (
 )
 from lpow.linalg import PAULIS, kron
 from lpow.states import (
-    _cg_chsh_gap,
     cg,
     classical,
     first_moments,
@@ -72,6 +71,16 @@ class TestDensityMatrixValidation:
     def test_rejects_shape_dims_mismatch(self):
         with pytest.raises(ValueError, match="does not match dims"):
             DensityMatrix(np.eye(4) / 4.0, dims=(2, 2, 2))
+
+    @pytest.mark.parametrize("dims", [(-2, -2), (2.5, 2), (2.0, 2), (4, 1.0), (True, 4), (0, 4), ("2", "2")])
+    def test_rejects_dims_that_are_not_positive_integers(self, dims):
+        with pytest.raises(ValueError, match="dims must be integers >= 1"):
+            DensityMatrix(np.eye(4) / 4.0, dims=dims)
+
+    def test_accepts_numpy_integer_dims(self):
+        rho = DensityMatrix(np.eye(4) / 4.0, dims=np.array([2, 2]))
+        assert rho.dims == (2, 2) and all(type(d) is int for d in rho.dims)
+        assert np.allclose(rho.marginal(0).matrix, np.eye(2) / 2.0)
 
     def test_accepts_tiny_negative_float_noise(self):
         eps = 5e-11
@@ -203,6 +212,12 @@ class TestMakeState:
             make_state("werner")
         with pytest.raises(ValueError, match="unknown parameter"):
             make_state("werner", p=0.5, q=1.0)
+        # cg checks its parameters before it solves a missing lam.
+        for params in ({}, {"lam": 0.5}):
+            with pytest.raises(ValueError, match=r"missing parameter\(s\) \['theta'\] for family 'cg'"):
+                make_state("cg", **params)
+        with pytest.raises(ValueError, match=r"unknown parameter\(s\) \['p'\] for family 'cg'"):
+            make_state("cg", p=0.5)
 
     def test_non_finite_parameters_are_named(self):
         with pytest.raises(ValueError, match="'theta' must be finite"):
@@ -437,46 +452,38 @@ class TestCgLambda:
             assert abs(optimized_chsh(cg(theta, lam)) - 2.0) < 1e-8
 
     def test_weights_are_pinned_bit_for_bit(self):
-        # Values of the earlier root-find (trace-built correlation matrices,
-        # a library bisection): the first-moment bisection reproduces them
-        # exactly, so every cg sweep cell is unchanged.
+        # The closed-form root; at pi/4 it is 1/sqrt(2) to the last bit.
         pinned = [
-            (0.02, "0x1.ffcb9ebe147aep-1"),
-            (0.172, "0x1.f1d7fa4851eb8p-1"),
-            (0.324, "0x1.d54263470a3d8p-1"),
-            (0.476, "0x1.b726d89f5c28fp-1"),
-            (0.628, "0x1.7cbfb66ae147bp-1"),
-            (0.78, "0x1.6a0f4d447ae15p-1"),
-            (math.pi / 4.0, "0x1.6a09e66851eb8p-1"),
-            (0.15, "0x1.f50f718333334p-1"),
-            (0.3, "0x1.da34172d70a3ep-1"),
-            (0.7, "0x1.6f625baeb8520p-1"),
-            (1.2, "0x1.cb9445d000001p-1"),
+            (0.02, "0x1.ffcb9ebeaad11p-1"),
+            (0.172, "0x1.f1d7fa47fbd8ap-1"),
+            (0.324, "0x1.d5426346b6ac8p-1"),
+            (0.476, "0x1.b726d89f796cbp-1"),
+            (0.628, "0x1.7cbfb66a9fd78p-1"),
+            (0.78, "0x1.6a0f4d43f71dep-1"),
+            (math.pi / 4.0, "0x1.6a09e667f3bccp-1"),
+            (0.15, "0x1.f50f7182c6155p-1"),
+            (0.3, "0x1.da34172cf2f36p-1"),
+            (0.7, "0x1.6f625bae5a023p-1"),
+            (1.2, "0x1.cb9445cf609e2p-1"),
         ]
         # The first six are the cg benchmark grid, taken from linspace itself.
         grid = np.linspace(0.02, 0.78, 6)
         assert [theta for theta, _ in pinned[:6]] == list(grid)
+        assert float.hex(1.0 / math.sqrt(2.0)) == pinned[6][1]
         for theta, lam_hex in pinned:
             assert float.hex(cg_lambda(float(theta))) == lam_hex
 
-    def test_agrees_with_closed_form_root(self):
-        # With s = sin 2theta the gap is lam^2 s^2 + max(lam^2 s^2, (2 lam - 1)^2) - 1.
-        # Its largest root is 4 / (4 + s^2) where the z entry dominates there,
-        # else 1 / (sqrt(2) s).
-        for theta in np.linspace(0.0, math.pi / 2.0, 402)[1:-1]:
-            s = math.sin(2.0 * theta)
-            lam_z = 4.0 / (4.0 + s * s)
-            exact = lam_z if abs(2.0 * lam_z - 1.0) >= lam_z * s else 1.0 / (math.sqrt(2.0) * s)
-            assert abs(cg_lambda(float(theta)) - exact) < 1e-10
-
-    def test_first_moment_gap_matches_trace_oracle(self):
-        lams = np.linspace(0.0, 1.0, 41)
-        for theta in (0.02, 0.3, math.pi / 4.0, 1.2):
-            gap = _cg_chsh_gap(theta, lams)
-            for lam, g in zip(lams, gap):
-                oracle = horodecki(cg(theta, float(lam))).m_value ** 2 - 1.0
-                assert abs(g - oracle) < 1e-12
-                assert _cg_chsh_gap(theta, float(lam)) == g
+    def test_unit_m_value_on_trace_built_states_across_the_domain(self):
+        # Horodecki's m of the state built from its density matrix is 1 to
+        # rounding on both branches, where they meet, and within 1e-12 of
+        # either end of (0, pi/2).
+        meet = 0.5 * math.asin(2.0 * (math.sqrt(2.0) - 1.0))
+        ends = [1e-12, 1e-9, 1e-6, math.pi / 2.0 - 1e-9, math.pi / 2.0 - 1e-12]
+        for theta in [*np.linspace(0.0, math.pi / 2.0, 2002)[1:-1], *ends, meet, math.pi / 2.0 - meet]:
+            lam = cg_lambda(float(theta))
+            assert 0.0 < lam <= 1.0
+            assert abs(horodecki(cg(float(theta), lam)).m_value - 1.0) <= 1e-14
+        assert cg_lambda(1e-12) == 1.0 and abs(cg_lambda(meet) - (2.0 + math.sqrt(2.0)) / 4.0) <= 1e-15
 
     def test_domain_validation(self):
         with pytest.raises(ValueError, match="theta"):

@@ -130,6 +130,16 @@ class TestRunSweep:
         assert not np.isnan(result.table["s_chsh"][-1])
         assert any("(p=-0.5)" in w for w in result.warnings)
 
+    def test_cg_without_theta_becomes_nan_rows(self):
+        # cg has no p, so every point is the family's parameter error,
+        # raised before any weight is solved.
+        result = run_sweep(small_spec(family="cg", grid=(0.0, 1.0, 3), quantities=("s_chsh",)))
+        assert np.isnan(result.table["s_chsh"]).all()
+        assert result.warnings == tuple(
+            f"point {i} (p={p}): unknown parameter(s) ['p'] for family 'cg'"
+            for i, p in enumerate(("0.0", "0.5", "1.0"))
+        )
+
     def test_point_shares_one_optimization_across_quantities(self, monkeypatch):
         # The sweep runs one see-saw call for its c3322 optimizations, with
         # one group per point, shared by both quantities.

@@ -82,11 +82,15 @@ class TestOptimizerConfig:
             ("max_iterations", True),
             ("seed", False),
             ("seed", np.True_),
+            ("value_tolerance", True),
+            ("value_tolerance", np.True_),
         ],
     )
     def test_rejects_non_integer_or_out_of_range_field(self, field, bad):
-        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        kind = "must be positive and finite" if field == "value_tolerance" else f"{field} must be an integer"
+        with pytest.raises(ValueError, match=kind) as raised:
             OptimizerConfig(**{field: bad})
+        assert field in str(raised.value)
 
     def test_accepts_numpy_integers(self):
         cfg = OptimizerConfig(restarts=np.int64(4), max_iterations=np.int32(9), seed=np.uint64(2**63))
